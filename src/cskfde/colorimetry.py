@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import (
     DimensionMismatch,
@@ -242,11 +244,17 @@ class Constellation:
         inv[self.labels] = np.arange(self.order)
         return inv
 
+    @cached_property
+    def nearest_neighbour_distances(self) -> np.ndarray:
+        """(M,) read-only: intensity-space distance from each point to its
+        nearest other point (0 for coincident points), computed once."""
+        dist, _ = cKDTree(self.intensities).query(self.intensities, k=2)
+        nearest = dist[:, 1]
+        nearest.setflags(write=False)
+        return nearest
+
     def min_distance(self) -> float:
-        d = self.intensities[:, None, :] - self.intensities[None, :, :]
-        dist = np.sqrt((d ** 2).sum(-1))
-        np.fill_diagonal(dist, np.inf)
-        return float(dist.min())
+        return float(self.nearest_neighbour_distances.min())
 
     def to_csv(self, path_or_file) -> None:
         fh = path_or_file if hasattr(path_or_file, "write") else \

@@ -37,12 +37,16 @@ from scipy.signal import lfilter
 from scipy.special import erfcinv
 
 from . import channel as chan
-from . import colorimetry, fde
-from .errors import InvalidParameter, InvalidTarget
+from . import colorimetry, fde, modem
+from .errors import InvalidParameter, InvalidTarget, UnsupportedOrder
 
 UNACHIEVABLE = "unachievable"
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(1 << 12)], dtype=np.int64)
+
+# Above this share of suspect rows in a chunk, the full metric runs over the
+# contiguous rows: gathering nearly all of them costs more than it saves.
+_GATHER_MAX_SHARE = 0.75
 
 
 def qfunc_inv(p: float) -> float:
@@ -109,6 +113,19 @@ class ExperimentConfig:
     n_taps: int = chan.DEFAULT_N_TAPS
 
     def __post_init__(self):
+        orders = {colorimetry.TLED: colorimetry.TLED_ORDERS,
+                  colorimetry.QLED: colorimetry.QLED_ORDERS}
+        scheme = str(self.scheme).lower()
+        if scheme not in orders:
+            raise UnsupportedOrder(f"unknown scheme {self.scheme!r}")
+        if self.order not in orders[scheme]:
+            raise UnsupportedOrder(
+                f"{scheme} supports M in {orders[scheme]}, got {self.order}")
+        if not (np.isfinite(self.dt) and self.dt >= 0):
+            raise InvalidParameter(f"Dt must be finite and >= 0, got {self.dt}")
+        if not 0.0 < self.target_ber < 0.5:
+            raise InvalidTarget(
+                f"target BER must be in (0, 0.5), got {self.target_ber}")
         memory = self.n_taps - 1 if self.dt > 0 else 0
         if self.cp < memory:
             raise InvalidParameter(
@@ -170,6 +187,12 @@ class LinkSimulator:
     Uniform random symbol indices are drawn directly, which is equivalent to
     mapping uniform random bits.  The first block of every stream is a
     warm-up excluded from error counting.
+
+    Detection is screened: a row within the trust radius of its sent point
+    (:func:`modem.trust_thresholds`) provably detects as that point, so only
+    the other rows go through the full metric (:func:`modem.nearest_points`).
+    The decisions, and so the bit errors, are those of the full metric on
+    every row.
     """
 
     def __init__(self, config: ExperimentConfig,
@@ -189,8 +212,12 @@ class LinkSimulator:
         self.k = self.constellation.bits_per_symbol
         self.n_bands = self.constellation.n_bands
         self.points = self.constellation.intensities.astype(dtype)
-        self.ct, self.half_norms = (self.points.T.copy(),
-                                    (0.5 * np.sum(self.points ** 2, axis=1)))
+        self.ct, self.half_norms = modem.detection_metric(self.constellation, dtype)
+        self.trust_sq = modem.trust_thresholds(self.constellation, dtype)
+        # rows counted for bit errors, and those the trust test left to the
+        # full metric: suspect_rows / detected_rows is the suspect share
+        self.detected_rows = 0
+        self.suspect_rows = 0
         self.labels = self.constellation.labels
         zfe = fde.build_zfe(self.taps.astype(float), config.n)
         # real-input FFT needs only the first N/2 + 1 bins
@@ -235,15 +262,19 @@ class LinkSimulator:
                 spectrum *= self.zfe_half[None, :, None]
                 payload = _sfft.irfft(spectrum, n=n, axis=1)
             received = payload.reshape(nb * n, self.n_bands)
-            metric = received @ self.ct - self.half_norms
-            det_idx = np.argmax(metric, axis=1)
-            diff = self.labels[det_idx] ^ self.labels[tx_idx]
-            if warmup:
-                diff = diff[n:]
-                counted = nb - 1
-                warmup = 0
-            else:
-                counted = nb
+            first = n * warmup  # the warm-up block is not counted
+            rows, sent_idx = received[first:], tx_idx[first:]
+            suspects = modem.suspect_rows(
+                rows, tx.reshape(nb * n, self.n_bands)[first:],
+                self.trust_sq[sent_idx])
+            self.detected_rows += len(sent_idx)
+            self.suspect_rows += len(suspects)
+            if len(suspects) > _GATHER_MAX_SHARE * len(sent_idx):
+                suspects = slice(None)
+            det_idx = modem.nearest_points(rows[suspects], self.ct, self.half_norms)
+            diff = self.labels[det_idx] ^ self.labels[sent_idx[suspects]]
+            counted = nb - warmup
+            warmup = 0
             errors += int(_POPCOUNT[diff].sum())
             bits += counted * n * self.k
             done += counted
@@ -253,7 +284,7 @@ class LinkSimulator:
                 lo, hi = wilson_interval(errors, bits)
                 if lo > stop_target:
                     return errors, bits, False
-                if hi < stop_target and errors >= min_errors:
+                if hi < stop_target:
                     return errors, bits, False
             elif stop_target is not None and bits > 0:
                 _, hi = wilson_interval(errors, bits)

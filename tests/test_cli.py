@@ -43,6 +43,16 @@ class TestParsing:
         assert cli.run(["table1", "--entries", "qled:4:1.0"]) == 2
         assert cli.run(["table1", "--entries", "qled:4:x:fde"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--scheme", "qled", "--order", "32"],
+        ["--scheme", "tled", "--order", "64"],
+        ["--dt", "-1"],
+        ["--target-ber", "0.7"],
+    ])
+    def test_invalid_config_exits_2(self, flags, capsys):
+        assert cli.run(["ber-curve", "--snr", "10"] + flags) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_ber_curve_needs_grid(self):
         assert cli.run(["ber-curve", "--scheme", "qled", "--order", "4"]) == 2
 

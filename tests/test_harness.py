@@ -7,7 +7,7 @@ from scipy.special import erfc
 from cskfde import channel as chan
 from cskfde import colorimetry as col
 from cskfde import fde, harness, modem
-from cskfde.errors import InvalidParameter, InvalidTarget
+from cskfde.errors import InvalidParameter, InvalidTarget, UnsupportedOrder
 
 
 def qfunc(x):
@@ -63,6 +63,26 @@ class TestWilson:
 
     def test_no_trials(self):
         assert harness.wilson_interval(0, 0) == (0.0, 1.0)
+
+
+class TestExperimentConfigValidation:
+    @pytest.mark.parametrize("kw,error", [
+        ({"scheme": "rgb"}, UnsupportedOrder),
+        ({"scheme": "tled", "order": 64}, UnsupportedOrder),
+        ({"scheme": "qled", "order": 32}, UnsupportedOrder),
+        ({"dt": -0.1}, InvalidParameter),
+        ({"dt": float("nan")}, InvalidParameter),
+        ({"target_ber": 0.0}, InvalidTarget),
+        ({"target_ber": 0.5}, InvalidTarget),
+        ({"target_ber": float("nan")}, InvalidTarget),
+    ])
+    def test_rejected_at_construction(self, kw, error):
+        with pytest.raises(error):
+            harness.ExperimentConfig(**kw)
+
+    def test_valid_edges_accepted(self):
+        harness.ExperimentConfig(scheme="tled", order=16, dt=0.0, target_ber=0.49)
+        harness.ExperimentConfig(scheme="QLED", order=4096, dt=1.0)
 
 
 def fast_cfg(**kw):
