@@ -114,11 +114,10 @@ def _experiment_config(args):
     return cfg, file_cfg
 
 
-def _simulator(cfg, file_cfg):
-    constellation = cfgmod.build_constellation_from_config(
-        file_cfg, cfg.scheme, cfg.order)
-    g = cfgmod.g_matrix_from_config(file_cfg, cfg.scheme)
-    return harness.LinkSimulator(cfg, constellation, g)
+def _link(file_cfg, scheme, order):
+    """(constellation, G) for one scheme and order, from the file or defaults."""
+    return (cfgmod.build_constellation_from_config(file_cfg, scheme, order),
+            cfgmod.g_matrix_from_config(file_cfg, scheme))
 
 
 def _write_or_stdout(path, writer):
@@ -138,11 +137,9 @@ def _cmd_ber_curve(args) -> int:
         grid.extend(np.arange(lo, hi + 1e-9, step).tolist())
     if not grid:
         raise UsageError("ber-curve needs --snr or --snr-range")
-    sim = _simulator(cfg, file_cfg)
-    curve = harness.BerCurve(cfg)
-    for i, snr in enumerate(sorted(grid)):
-        curve.points.append(harness.run_ber_point(
-            cfg, snr, simulator=sim, seed=(cfg.seed, i)))
+    constellation, g = _link(file_cfg, cfg.scheme, cfg.order)
+    curve = harness.run_ber_curve(cfg, sorted(grid), constellation=constellation,
+                                  g_matrix=g)
     _write_or_stdout(args.out, lambda p: harness.write_curve_csv(p, curve))
     return 0
 
@@ -170,9 +167,7 @@ def _cmd_table1(args) -> int:
     requirements = []
     for scheme, order, dt, fde in _parse_entries(args.entries):
         entry_cfg = replace(cfg, scheme=scheme, order=order, dt=dt, fde=fde)
-        constellation = cfgmod.build_constellation_from_config(
-            file_cfg, scheme, order)
-        g = cfgmod.g_matrix_from_config(file_cfg, scheme)
+        constellation, g = _link(file_cfg, scheme, order)
         requirements.append(harness.find_power_requirement(
             entry_cfg, constellation=constellation, g_matrix=g))
     _write_or_stdout(args.out,
@@ -191,9 +186,7 @@ def _cmd_power_vs_dt(args) -> int:
             raise UsageError("--dt-list must be comma-separated numbers")
     else:
         dts = [0.01, 0.05, 0.1, 0.2, 0.5, 1.0]
-    constellation = cfgmod.build_constellation_from_config(
-        file_cfg, cfg.scheme, cfg.order)
-    g = cfgmod.g_matrix_from_config(file_cfg, cfg.scheme)
+    constellation, g = _link(file_cfg, cfg.scheme, cfg.order)
     requirements = harness.sweep_dt(cfg, dts, constellation=constellation,
                                     g_matrix=g)
     _write_or_stdout(args.out,
@@ -213,7 +206,7 @@ def _cmd_constellation(args) -> int:
 
 def _cmd_loopback_check(args) -> int:
     cfg, file_cfg = _experiment_config(args)
-    sim = _simulator(cfg, file_cfg)
+    sim = harness.LinkSimulator(cfg, *_link(file_cfg, cfg.scheme, cfg.order))
     errors, bits, _ = sim.run(0.0, args.bits, cfg.seed)
     print(f"loopback {cfg.scheme}-{cfg.order} dt={cfg.dt:g} "
           f"fde={'on' if cfg.fde else 'off'}: {errors} bit errors / {bits} bits")

@@ -101,8 +101,11 @@ def default_qled_sources() -> SourceSet:
     return SourceSet(("B", "C", "Y", "R"), np.array([BAND_B, BAND_C, BAND_Y, BAND_R]))
 
 
-def _triad_det(xy3) -> float:
-    (x0, y0), (x1, y1), (x2, y2) = xy3
+def _triad_det(xy):
+    """Orientation determinant of a (3, 2) triad, or of each of (..., 3, 2)."""
+    x0, y0 = xy[..., 0, 0], xy[..., 0, 1]
+    x1, y1 = xy[..., 1, 0], xy[..., 1, 1]
+    x2, y2 = xy[..., 2, 0], xy[..., 2, 1]
     return (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
 
 
@@ -116,6 +119,38 @@ def _is_convex(quad) -> bool:
     return all(s < -_DET_EPS for s in signs) or all(s > _DET_EPS for s in signs)
 
 
+def _mix_intensities(targets, triads_xy) -> np.ndarray:
+    """Batched 3x3 chromaticity-to-intensity mixing solve.
+
+    Row i of the result holds the LED intensity fractions (sum 1) that
+    reproduce ``targets[i]`` (an (M, 2) array) from the three sources
+    ``triads_xy[i]`` ((M, 3, 2)).  Each system is its own LAPACK gesv call
+    with one right-hand side, so a row's result does not depend on the batch
+    it is solved in.  Raises SingularTriad for collinear sources and
+    OutsideGamut when a target needs a negative intensity.
+    """
+    if (np.abs(_triad_det(triads_xy)) < _DET_EPS).any():
+        raise SingularTriad("triad chromaticities are collinear")
+    a = np.ones((len(targets), 3, 3))
+    a[:, 0] = triads_xy[..., 0]
+    a[:, 1] = triads_xy[..., 1]
+    rhs = np.ones((len(targets), 3, 1))
+    rhs[:, :2, 0] = targets
+    intensities = np.linalg.solve(a, rhs)[..., 0]
+    outside = intensities.min(axis=1) < -_GAMUT_EPS
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise OutsideGamut(f"({targets[i, 0]}, {targets[i, 1]}) lies outside the "
+                           f"triad gamut: I = {intensities[i]}")
+    # clamp -1e-9..0 float residue and renormalise
+    intensities = np.clip(intensities, 0.0, None)
+    return intensities / intensities.sum(axis=1, keepdims=True)
+
+
+def _target_row(target) -> np.ndarray:
+    return np.array([[float(target[0]), float(target[1])]])
+
+
 def intensity_from_chromaticity(target, triad_xy) -> np.ndarray:
     """Solve the 3x3 chromaticity-to-intensity mixing system.
 
@@ -123,22 +158,11 @@ def intensity_from_chromaticity(target, triad_xy) -> np.ndarray:
     the three sources ``triad_xy``.  Raises SingularTriad for collinear
     sources and OutsideGamut when the target needs a negative intensity.
     """
-    tx, ty = float(target[0]), float(target[1])
+    row = _target_row(target)
     xy = np.asarray(triad_xy, dtype=float)
     if xy.shape != (3, 2):
         raise DimensionMismatch("triad must contain exactly three sources")
-    if abs(_triad_det(xy)) < _DET_EPS:
-        raise SingularTriad("triad chromaticities are collinear")
-    A = np.array([[xy[0, 0], xy[1, 0], xy[2, 0]],
-                  [xy[0, 1], xy[1, 1], xy[2, 1]],
-                  [1.0, 1.0, 1.0]])
-    intensities = np.linalg.solve(A, np.array([tx, ty, 1.0]))
-    if intensities.min() < -_GAMUT_EPS:
-        raise OutsideGamut(
-            f"({tx}, {ty}) lies outside the triad gamut: I = {intensities}")
-    # clamp -1e-9..0 float residue and renormalise
-    intensities = np.clip(intensities, 0.0, None)
-    return intensities / intensities.sum()
+    return _mix_intensities(row, xy[None])[0]
 
 
 # Sub-quadrilateral identifiers in tie-break priority order.  The gamut
@@ -167,14 +191,49 @@ def _sub_quadrilaterals(xy):
             np.array([b, p, o, s]))
 
 
-def _contains(quad, pt, eps=_GAMUT_EPS) -> bool:
+def _in_quad(quad, pts, eps=_GAMUT_EPS) -> np.ndarray:
+    """(M,) mask of the (M, 2) points inside the (4, 2) quadrilateral."""
     # sign-consistent cross products, orientation-agnostic
-    crosses = []
-    for i in range(4):
-        a, b = quad[i], quad[(i + 1) % 4]
-        crosses.append((b[0] - a[0]) * (pt[1] - a[1]) - (b[1] - a[1]) * (pt[0] - a[0]))
-    crosses = np.asarray(crosses)
-    return bool(np.all(crosses >= -eps) or np.all(crosses <= eps))
+    a, b = quad, np.roll(quad, -1, axis=0)
+    crosses = ((b[:, 0] - a[:, 0]) * (pts[:, 1:] - a[:, 1])
+               - (b[:, 1] - a[:, 1]) * (pts[:, :1] - a[:, 0]))
+    return np.all(crosses >= -eps, axis=1) | np.all(crosses <= eps, axis=1)
+
+
+def _sub_quad_ids(pts, sources: SourceSet) -> np.ndarray:
+    """Sub-quadrilateral id (into SUB_QUAD_NAMES) of each (M, 2) point.
+
+    Boundary ties resolve to the lowest id.
+    """
+    if sources.n_bands != 4:
+        raise DimensionMismatch("QLED triad selection needs four sources")
+    outside = ~_in_quad(sources.xy, pts)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise OutsideGamut(f"({pts[i, 0]}, {pts[i, 1]}) is outside the BCYR quadrilateral")
+    quads = _sub_quadrilaterals(sources.xy)
+    hits = np.column_stack([_in_quad(quad, pts) for quad in quads])
+    seam = ~hits.any(axis=1)
+    if seam.any():
+        # numerically on a seam none of the >= tests caught; widen tolerance
+        hits[seam] = np.column_stack([_in_quad(quad, pts[seam], eps=1e-7)
+                                      for quad in quads])
+    unmatched = ~hits.any(axis=1)
+    if unmatched.any():
+        i = int(np.argmax(unmatched))
+        raise OutsideGamut(
+            f"({pts[i, 0]}, {pts[i, 1]}) not matched to any sub-quadrilateral")
+    return np.argmax(hits, axis=1)  # first hit: the lowest id
+
+
+def _qled_intensities(pts, sources: SourceSet) -> np.ndarray:
+    """(M, 4) intensity vectors for the (M, 2) QLED targets (<= 3 LEDs lit)."""
+    triads = np.array(_SUB_QUAD_TRIADS)[_sub_quad_ids(pts, sources)]
+    part = _mix_intensities(pts, sources.xy[triads])
+    part[part < _DET_EPS] = 0.0  # snap solver residue so <=3 entries stay lit
+    out = np.zeros((len(pts), 4))
+    np.put_along_axis(out, triads, part / part.sum(axis=1, keepdims=True), axis=1)
+    return out
 
 
 def select_qled_triad(target, sources: SourceSet):
@@ -183,29 +242,13 @@ def select_qled_triad(target, sources: SourceSet):
     Returns ``(sub_quad_id, triad_indices)`` where ``sub_quad_id`` indexes
     SUB_QUAD_NAMES.  Boundary ties resolve to the lowest id.
     """
-    if sources.n_bands != 4:
-        raise DimensionMismatch("QLED triad selection needs four sources")
-    pt = np.array([float(target[0]), float(target[1])])
-    if not _contains(sources.xy, pt):
-        raise OutsideGamut(f"({pt[0]}, {pt[1]}) is outside the BCYR quadrilateral")
-    for sid, quad in enumerate(_sub_quadrilaterals(sources.xy)):
-        if _contains(quad, pt):
-            return sid, _SUB_QUAD_TRIADS[sid]
-    # numerically on a seam none of the >= tests caught; widen tolerance
-    for sid, quad in enumerate(_sub_quadrilaterals(sources.xy)):
-        if _contains(quad, pt, eps=1e-7):
-            return sid, _SUB_QUAD_TRIADS[sid]
-    raise OutsideGamut(f"({pt[0]}, {pt[1]}) not matched to any sub-quadrilateral")
+    sid = int(_sub_quad_ids(_target_row(target), sources)[0])
+    return sid, _SUB_QUAD_TRIADS[sid]
 
 
 def qled_intensity(target, sources: SourceSet) -> np.ndarray:
     """Four-entry intensity vector for a QLED symbol (at most 3 LEDs lit)."""
-    _, triad = select_qled_triad(target, sources)
-    part = intensity_from_chromaticity(target, sources.xy[list(triad)])
-    part[part < _DET_EPS] = 0.0  # snap solver residue so <=3 entries stay lit
-    out = np.zeros(4)
-    out[list(triad)] = part / part.sum()
-    return out
+    return _qled_intensities(_target_row(target), sources)[0]
 
 
 @dataclass(frozen=True)
@@ -227,7 +270,7 @@ class Constellation:
     def __post_init__(self):
         if len(self.labels) != self.order:
             raise DimensionMismatch("label count must equal the order")
-        if sorted(self.labels.tolist()) != list(range(self.order)):
+        if not np.array_equal(np.sort(self.labels), np.arange(self.order)):
             raise IndexOutOfRange("labels must be a permutation of 0..M-1")
 
     @property
@@ -338,14 +381,14 @@ def build_tled_constellation(order: int, sources: SourceSet | None = None,
     bary = np.array([row[0] for row in rows], dtype=float)
     labels = np.array([row[1] for row in rows], dtype=np.int64)
     chroma = bary @ sources.xy
-    intensities = np.array([
-        intensity_from_chromaticity(c, sources.xy) for c in chroma])
+    intensities = _mix_intensities(
+        chroma, np.broadcast_to(sources.xy, (len(chroma), 3, 2)))
     return Constellation(TLED, order, labels, chroma, intensities, sources)
 
 
 # --- QLED symbol placement -------------------------------------------------
 
-def _gray(n: int) -> int:
+def _gray(n):
     return n ^ (n >> 1)
 
 
@@ -369,19 +412,16 @@ def build_qled_constellation(order: int, sources: SourceSet | None = None) -> Co
     if order not in QLED_ORDERS:
         raise UnsupportedOrder(f"QLED supports M in {QLED_ORDERS}, got {order}")
     nu, nv = _qled_grid_shape(order)
-    ku, kv = int(np.log2(nu)), int(np.log2(nv))
+    kv = int(np.log2(nv))
+    iu, iv = (ix.ravel() for ix in np.meshgrid(np.arange(nu), np.arange(nv),
+                                                indexing="ij"))
+    u = (iu / max(nu - 1, 1))[:, None]
+    v = (iv / max(nv - 1, 1))[:, None]
     b, c, y, r = sources.xy
-    labels, chroma, intensities = [], [], []
-    for iu in range(nu):
-        for iv in range(nv):
-            u = iu / (nu - 1) if nu > 1 else 0.0
-            v = iv / (nv - 1) if nv > 1 else 0.0
-            pt = (1 - u) * (1 - v) * b + u * (1 - v) * c + u * v * y + (1 - u) * v * r
-            labels.append((_gray(iu) << kv) | _gray(iv))
-            chroma.append(pt)
-            intensities.append(qled_intensity(pt, sources))
-    return Constellation(QLED, order, np.array(labels, dtype=np.int64),
-                         np.array(chroma), np.array(intensities), sources)
+    chroma = (1 - u) * (1 - v) * b + u * (1 - v) * c + u * v * y + (1 - u) * v * r
+    labels = (_gray(iu) << kv) | _gray(iv)
+    return Constellation(QLED, order, labels, chroma,
+                         _qled_intensities(chroma, sources), sources)
 
 
 def build_constellation(scheme: str, order: int,

@@ -232,7 +232,9 @@ class LinkSimulator:
         """Accumulate bit errors until ``n_bits``, the error floor of the
         stopping rule, or a decisive Wilson comparison against ``stop_target``.
 
-        Returns (errors, bits, censored).
+        Returns (errors, bits, censored); ``censored`` means the run used up
+        ``n_bits`` before ``min_bit_errors`` and no decisive comparison
+        against ``stop_target`` ended it first.
         """
         cfg = self.config
         n, cp = cfg.n, cfg.cp
@@ -278,18 +280,15 @@ class LinkSimulator:
             errors += int(_POPCOUNT[diff].sum())
             bits += counted * n * self.k
             done += counted
-            if errors >= min_errors:
-                if stop_target is None:
+            if stop_target is None:
+                if errors >= min_errors:
                     return errors, bits, False
+            else:
+                # decisively below the target at any error count; decisively
+                # above it only once the error floor is met
                 lo, hi = wilson_interval(errors, bits)
-                if lo > stop_target:
+                if hi < stop_target or (errors >= min_errors and lo > stop_target):
                     return errors, bits, False
-                if hi < stop_target:
-                    return errors, bits, False
-            elif stop_target is not None and bits > 0:
-                _, hi = wilson_interval(errors, bits)
-                if hi < stop_target:
-                    return errors, bits, True
         return errors, bits, errors < min_errors
 
 
@@ -310,9 +309,10 @@ def run_ber_point(config: ExperimentConfig, snr_o_db: float,
     return BerPoint(snr_o_db, ber, bits, errors, censored)
 
 
-def run_ber_curve(config: ExperimentConfig, snr_grid: Sequence[float]) -> BerCurve:
+def run_ber_curve(config: ExperimentConfig, snr_grid: Sequence[float],
+                  constellation=None, g_matrix=None) -> BerCurve:
     """BER at each SNR in the grid, one derived RNG stream per point."""
-    sim = LinkSimulator(config)
+    sim = LinkSimulator(config, constellation, g_matrix)
     curve = BerCurve(config)
     for i, snr in enumerate(snr_grid):
         point = run_ber_point(config, snr, simulator=sim,

@@ -5,7 +5,8 @@ import json
 import pytest
 import yaml
 
-from cskfde import cli
+from cskfde import cli, harness
+from cskfde import config as cfgmod
 
 
 @pytest.fixture()
@@ -103,6 +104,38 @@ class TestBerCurveCommand:
         assert cli.run(argv + ["--out", str(a)]) == 0
         assert cli.run(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_matches_library_curve_on_sorted_grid(self, tmp_path):
+        """The command is run_ber_curve over the sorted grid, with the
+        config file's sources and G matrix."""
+        file_cfg = {"min_bit_errors": 20, "max_bits": 200_000,
+                    "sources": {"qled": [
+                        {"name": "B", "xy": [0.0, 0.0]},
+                        {"name": "C", "xy": [0.0, 0.5]},
+                        {"name": "Y", "xy": [0.5, 0.5]},
+                        {"name": "R", "xy": [0.5, 0.0]}]},
+                    "matrices": {"g_qled": [[0.9, 0.1, 0, 0], [0.1, 0.8, 0.1, 0],
+                                            [0, 0.1, 0.8, 0.1], [0, 0, 0.1, 0.9]]}}
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(file_cfg))
+        out = tmp_path / "cli.csv"
+        assert cli.run(["ber-curve", "--scheme", "qled", "--order", "4",
+                        "--dt", "0.5", "--config", str(path), "--seed", "3",
+                        "--snr", "9", "--snr", "5", "--snr", "7",
+                        "--out", str(out)]) == 0
+        cfg = harness.ExperimentConfig(scheme="qled", order=4, dt=0.5,
+                                       min_bit_errors=20, max_bits=200_000,
+                                       seed=3)
+        curve = harness.run_ber_curve(
+            cfg, [5.0, 7.0, 9.0],
+            constellation=cfgmod.build_constellation_from_config(file_cfg, "qled", 4),
+            g_matrix=cfgmod.g_matrix_from_config(file_cfg, "qled"))
+        lib = tmp_path / "lib.csv"
+        harness.write_curve_csv(lib, curve)
+        assert out.read_bytes() == lib.read_bytes()
+        default = tmp_path / "default.csv"
+        harness.write_curve_csv(default, harness.run_ber_curve(cfg, [5.0, 7.0, 9.0]))
+        assert default.read_bytes() != lib.read_bytes()
 
 
 class TestTable1Command:

@@ -3,7 +3,9 @@
 ``reference_run`` is the full-metric detection loop of ``LinkSimulator.run``
 as it stood before screening, kept verbatim as the oracle: for every
 configuration, noise level and seed below, the screened loop must return
-the identical (errors, bits, censored) triple.
+the identical (errors, bits, censored) triple.  The one edit since is the
+stop rule's meaning of ``censored``: a run that stops decisively below
+``stop_target`` is not censored, so that return reads False.
 """
 
 import tracemalloc
@@ -77,7 +79,7 @@ def reference_run(sim, sigma, n_bits, seed, stop_target=None,
         elif stop_target is not None and bits > 0:
             _, hi = harness.wilson_interval(errors, bits)
             if hi < stop_target:
-                return errors, bits, True
+                return errors, bits, False
     return errors, bits, errors < min_errors
 
 

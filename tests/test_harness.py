@@ -118,6 +118,15 @@ class TestRunBerPoint:
         assert point.censored
         assert point.bits >= cfg.max_bits
 
+    def test_decisive_stop_below_target_is_not_censored(self):
+        cfg = fast_cfg(max_bits=2_000_000)
+        sim = harness.LinkSimulator(cfg)
+        errors, bits, censored = sim.run(harness.sigma_from_snr(21.0),
+                                         cfg.max_bits, 1, stop_target=1e-2)
+        assert errors < cfg.min_bit_errors
+        assert bits < cfg.max_bits
+        assert censored is False
+
     def test_stops_at_min_errors(self):
         cfg = fast_cfg()
         point = harness.run_ber_point(cfg, 6.0)  # high BER
