@@ -8,7 +8,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     DimensionMismatch,
@@ -111,6 +110,34 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def disperse(x: np.ndarray, taps: np.ndarray, zi: np.ndarray):
+    """Per-band linear convolution of a running stream with the channel taps.
+
+    ``x`` is (n_samples, n_bands) and ``zi`` the (len(taps) - 1, n_bands)
+    state a previous call returned, or zeros at the start of a stream.
+    Returns (y, zf) with y shaped like x.  The arithmetic is that of the FIR
+    branch of ``scipy.signal.lfilter(taps, [1.0], x, axis=0, zi=zi)``: one
+    ``np.convolve(taps, band)`` per band in the common dtype, ``zi`` added to
+    the first len(taps) - 1 rows, then a split into output and state, so
+    the results are bitwise equal to lfilter's.
+    """
+    zi = np.asarray(zi)
+    dtype = np.result_type(taps, x, zi)
+    taps = np.asarray(taps, dtype=dtype)
+    x = np.asarray(x, dtype=dtype)
+    memory = len(taps) - 1
+    if x.ndim != 2 or zi.shape != (memory, x.shape[1]):
+        raise DimensionMismatch(
+            f"filter state {zi.shape} does not match taps {len(taps)} "
+            f"and input {x.shape}")
+    n_samples = x.shape[0]
+    full = np.empty((n_samples + memory, x.shape[1]), dtype=dtype)
+    for band in range(x.shape[1]):
+        full[:, band] = np.convolve(taps, x[:, band])
+    full[:memory] += zi
+    return full[:n_samples], full[n_samples:].copy()
+
+
 def apply_channel(tx: np.ndarray, model: ChannelModel, g_matrix: np.ndarray,
                   noise: NoiseModel, seed=0, zi=None, rng=None):
     """Propagate per-band symbol streams through the diffuse channel.
@@ -128,7 +155,7 @@ def apply_channel(tx: np.ndarray, model: ChannelModel, g_matrix: np.ndarray,
             f"CIL matrix {g_matrix.shape} does not match {n_bands} bands")
     if zi is None:
         zi = np.zeros((len(model.taps) - 1, n_bands))
-    dispersed, zf = lfilter(model.taps, [1.0], tx, axis=0, zi=zi)
+    dispersed, zf = disperse(tx, model.taps, zi)
     rx = dispersed @ g_matrix.T
     if noise.sigma > 0:
         gen = rng if rng is not None else make_rng(seed)

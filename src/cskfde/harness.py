@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import csv
 import json
+import queue
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.fft as _sfft
-from scipy.signal import lfilter
 from scipy.special import erfcinv
 
 from . import channel as chan
@@ -47,6 +48,10 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(1 << 12)], dtype=np.int64
 # Above this share of suspect rows in a chunk, the full metric runs over the
 # contiguous rows: gathering nearly all of them costs more than it saves.
 _GATHER_MAX_SHARE = 0.75
+
+# The draw thread fills each chunk in slices of this many blocks and looks
+# for a stop request between slices.
+_SLICE_BLOCKS = 512
 
 
 def qfunc_inv(p: float) -> float:
@@ -177,16 +182,124 @@ class PowerRequirement:
         return f"{self.requirement_db:.2f}" if self.achievable else "inf"
 
 
+def _chunk_sizes(n_blocks_total: int, chunk_blocks: int) -> list:
+    """Blocks per chunk; the first chunk also carries the warm-up block."""
+    sizes, done, warmup = [], 0, 1
+    while done < n_blocks_total:
+        nb = int(min(chunk_blocks, n_blocks_total - done + warmup))
+        sizes.append(nb)
+        done += nb - warmup
+        warmup = 0
+    return sizes
+
+
+class _ChunkDraws:
+    """The random draws of :meth:`LinkSimulator.run`, made on a helper thread.
+
+    For each chunk the thread makes the calls a serial loop would make, in
+    the same order: ``integers`` for the symbol indices, then (when
+    ``sigma > 0``) ``standard_normal`` for the detector noise, which it
+    scales by ``sigma``.  Each call is split into consecutive slices of
+    ``_SLICE_BLOCKS`` blocks; Philox fills are slice-invariant, so the values
+    are those of one call.  Indices and noise are handed over one at a time
+    through a queue of size 1, so the thread runs at most one chunk ahead.
+    The fills release the GIL, so drawing overlaps the caller's work.
+
+    The caller alone uses :meth:`get`; :meth:`close` stops the thread
+    within one slice and joins it.  An exception on the thread is raised
+    again by the :meth:`get` that would have returned its draw.
+    """
+
+    def __init__(self, rng: np.random.Generator, sizes: list, n: int, cp: int,
+                 order: int, n_bands: int, sigma: float, dtype):
+        self._queue = queue.Queue(maxsize=1)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(
+            target=self._produce, name="cskfde-draws", daemon=True,
+            args=(rng, sizes, n, cp, order, n_bands, sigma, dtype))
+        self._thread.start()
+
+    def _put(self, item) -> bool:
+        if self._stop.is_set():
+            return False
+        self._queue.put(item)
+        return True
+
+    def _fill(self, out: np.ndarray, rows_per_block: int, draw) -> bool:
+        """Fill ``out`` slice by slice; False once a stop is requested."""
+        step = _SLICE_BLOCKS * rows_per_block
+        for start in range(0, len(out), step):
+            if self._stop.is_set():
+                return False
+            draw(out[start:start + step])
+        return True
+
+    def _produce(self, rng, sizes, n, cp, order, n_bands, sigma, dtype):
+        def symbols(part):
+            part[:] = rng.integers(0, order, size=len(part))
+
+        def noise(part):
+            # the product ``sigma * draw`` of the serial loop, in its dtype
+            np.multiply(rng.standard_normal(part.shape, dtype=dtype), sigma,
+                        out=part)
+
+        # a numpy float64 sigma promotes the scaled noise to float64
+        noise_dtype = np.result_type(sigma, dtype)
+        try:
+            for nb in sizes:
+                tx_idx = np.empty(nb * n, dtype=np.int64)
+                if not (self._fill(tx_idx, n, symbols) and self._put(tx_idx)):
+                    return
+                if sigma > 0:
+                    scaled = np.empty((nb * (n + cp), n_bands), dtype=noise_dtype)
+                    if not (self._fill(scaled, n + cp, noise)
+                            and self._put(scaled)):
+                        return
+        except BaseException as exc:  # handed to the caller, never lost
+            self._put(exc)
+
+    def get(self) -> np.ndarray:
+        item = self._queue.get()
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    def close(self) -> None:
+        self._stop.set()
+        # a thread blocked on the full queue gets its one put through
+        while True:
+            try:
+                self._queue.get_nowait()
+            except queue.Empty:
+                break
+        self._thread.join()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
 class LinkSimulator:
     """Vectorised end-to-end link for one configuration.
 
     The chain per run: bits -> constellation mapping -> N-symbol blocks with
     a length-L cyclic prefix -> per-band linear convolution with the channel
-    taps -> CIL mixing -> detector AWGN -> colour calibration -> CP removal
-    -> (optional) per-block zero-forcing FDE -> ML detection -> bit errors.
-    Uniform random symbol indices are drawn directly, which is equivalent to
-    mapping uniform random bits.  The first block of every stream is a
-    warm-up excluded from error counting.
+    taps (:func:`channel.disperse`) -> CIL mixing -> detector AWGN -> colour
+    calibration -> CP removal -> (optional) per-block zero-forcing FDE -> ML
+    detection -> bit errors.  Uniform random symbol indices are drawn
+    directly, which is equivalent to mapping uniform random bits.  The first
+    block of every stream is a warm-up excluded from error counting.
+
+    The run works in chunks of blocks on two threads.  A helper thread
+    (:class:`_ChunkDraws`) owns the Philox generator and draws each chunk's
+    symbol indices, then its scaled noise, with the calls and in the order
+    of a serial loop.  The calling thread never touches the generator: it
+    maps, frames, disperses and mixes a chunk while that chunk's noise is
+    drawn, then calibrates, equalises and detects it while the next chunk
+    is drawn.  The results are those of the serial loop, bit for bit, and
+    no thread outlives the call.
 
     Detection is screened: a row within the trust radius of its sent point
     (:func:`modem.trust_thresholds`) provably detects as that point, so only
@@ -236,59 +349,62 @@ class LinkSimulator:
         ``n_bits`` before ``min_bit_errors`` and no decisive comparison
         against ``stop_target`` ended it first.
         """
+        if chunk_blocks < 1:
+            raise InvalidParameter(f"chunk_blocks must be >= 1, got {chunk_blocks}")
         cfg = self.config
         n, cp = cfg.n, cfg.cp
         min_errors = cfg.min_bit_errors if min_bit_errors is None else min_bit_errors
-        rng = chan.make_rng(seed)
         n_blocks_total = max(int(np.ceil(n_bits / (self.k * n))), 1)
+        sizes = _chunk_sizes(n_blocks_total, chunk_blocks)
         errors = 0
         bits = 0
         zi = np.zeros((len(self.taps) - 1, self.n_bands), dtype=self.dtype)
         warmup = 1  # first block of the stream is not counted
-        done = 0
-        while done < n_blocks_total:
-            nb = int(min(chunk_blocks, n_blocks_total - done + warmup))
-            tx_idx = rng.integers(0, self.constellation.order, size=nb * n)
-            tx = self.points[tx_idx].reshape(nb, n, self.n_bands)
-            framed = np.concatenate([tx[:, n - cp:], tx], axis=1) if cp else tx
-            serial = framed.reshape(nb * (n + cp), self.n_bands)
-            dispersed, zi = lfilter(self.taps, np.array([1.0], dtype=self.dtype),
-                                    serial, axis=0, zi=zi)
-            rx = dispersed @ self.g.T
-            if sigma > 0:
-                rx += sigma * rng.standard_normal(rx.shape, dtype=self.dtype)
-            rx = rx @ self.g_inv.T
-            payload = rx.reshape(nb, n + cp, self.n_bands)[:, cp:]
-            if cfg.fde:
-                spectrum = _sfft.rfft(payload, axis=1)
-                spectrum *= self.zfe_half[None, :, None]
-                payload = _sfft.irfft(spectrum, n=n, axis=1)
-            received = payload.reshape(nb * n, self.n_bands)
-            first = n * warmup  # the warm-up block is not counted
-            rows, sent_idx = received[first:], tx_idx[first:]
-            suspects = modem.suspect_rows(
-                rows, tx.reshape(nb * n, self.n_bands)[first:],
-                self.trust_sq[sent_idx])
-            self.detected_rows += len(sent_idx)
-            self.suspect_rows += len(suspects)
-            if len(suspects) > _GATHER_MAX_SHARE * len(sent_idx):
-                suspects = slice(None)
-            det_idx = modem.nearest_points(rows[suspects], self.ct, self.half_norms)
-            diff = self.labels[det_idx] ^ self.labels[sent_idx[suspects]]
-            counted = nb - warmup
-            warmup = 0
-            errors += int(_POPCOUNT[diff].sum())
-            bits += counted * n * self.k
-            done += counted
-            if stop_target is None:
-                if errors >= min_errors:
-                    return errors, bits, False
-            else:
-                # decisively below the target at any error count; decisively
-                # above it only once the error floor is met
-                lo, hi = wilson_interval(errors, bits)
-                if hi < stop_target or (errors >= min_errors and lo > stop_target):
-                    return errors, bits, False
+        with _ChunkDraws(chan.make_rng(seed), sizes, n, cp,
+                         self.constellation.order, self.n_bands, sigma,
+                         self.dtype) as draws:
+            for nb in sizes:
+                tx_idx = draws.get()
+                tx = self.points[tx_idx].reshape(nb, n, self.n_bands)
+                framed = np.concatenate([tx[:, n - cp:], tx], axis=1) if cp else tx
+                serial = framed.reshape(nb * (n + cp), self.n_bands)
+                dispersed, zi = chan.disperse(serial, self.taps, zi)
+                rx = dispersed @ self.g.T
+                if sigma > 0:
+                    rx += draws.get()
+                rx = rx @ self.g_inv.T
+                payload = rx.reshape(nb, n + cp, self.n_bands)[:, cp:]
+                if cfg.fde:
+                    spectrum = _sfft.rfft(payload, axis=1)
+                    spectrum *= self.zfe_half[None, :, None]
+                    payload = _sfft.irfft(spectrum, n=n, axis=1)
+                received = payload.reshape(nb * n, self.n_bands)
+                first = n * warmup  # the warm-up block is not counted
+                rows, sent_idx = received[first:], tx_idx[first:]
+                suspects = modem.suspect_rows(
+                    rows, tx.reshape(nb * n, self.n_bands)[first:],
+                    self.trust_sq[sent_idx])
+                self.detected_rows += len(sent_idx)
+                self.suspect_rows += len(suspects)
+                if len(suspects) > _GATHER_MAX_SHARE * len(sent_idx):
+                    suspects = slice(None)
+                det_idx = modem.nearest_points(rows[suspects], self.ct,
+                                               self.half_norms)
+                diff = self.labels[det_idx] ^ self.labels[sent_idx[suspects]]
+                counted = nb - warmup
+                warmup = 0
+                errors += int(_POPCOUNT[diff].sum())
+                bits += counted * n * self.k
+                if stop_target is None:
+                    if errors >= min_errors:
+                        return errors, bits, False
+                else:
+                    # decisively below the target at any error count;
+                    # decisively above it only once the error floor is met
+                    lo, hi = wilson_interval(errors, bits)
+                    if hi < stop_target or (errors >= min_errors
+                                            and lo > stop_target):
+                        return errors, bits, False
         return errors, bits, errors < min_errors
 
 

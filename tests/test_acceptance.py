@@ -9,6 +9,7 @@ measurement is attempted.
 """
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -37,6 +38,13 @@ TABLE_FDE = {
     ("qled", 4, 0.1): 5.3, ("qled", 4, 1.0): 7.9,
     ("qled", 64, 0.1): 13.62, ("qled", 64, 1.0): 14.42,
 }
+
+# Worker processes must not start their own BLAS or OpenMP thread pools:
+# two of them on two cores would oversubscribe.  The pins take effect only
+# before numpy is first imported, so they go into the environment the
+# workers start with.
+WORKER_THREAD_PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+                      "MKL_NUM_THREADS": "1"}
 
 _report_lines = []
 
@@ -195,9 +203,16 @@ def measured(property_gate):
     jobs = int(os.environ.get("CSKFDE_ACCEPTANCE_JOBS", "2"))
     results = {}
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, req in pool.map(_measure_entry, MEASUREMENT_PLAN.items()):
-                results[key] = req
+        # spawn, not fork: this process has run threads (LinkSimulator.run
+        # draws on a helper thread), and a forked child inherits their locks
+        spawn = multiprocessing.get_context("spawn")
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in WORKER_THREAD_PINS.items():
+                mp.setenv(name, value)
+            with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+                for key, req in pool.map(_measure_entry,
+                                         MEASUREMENT_PLAN.items()):
+                    results[key] = req
     else:
         for item in MEASUREMENT_PLAN.items():
             key, req = _measure_entry(item)

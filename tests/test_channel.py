@@ -1,8 +1,15 @@
 """Channel tests: tap discretisation, CIL mixing, calibration, noise, responsivity."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+import cskfde
 from cskfde import channel as chan
 from cskfde.errors import (
     DimensionMismatch,
@@ -66,6 +73,47 @@ class TestShippedMatrices:
                     [0.0, 0.002, 0.255, 0.0],
                     [0.0, 0.0, 0.030, 0.271]]
         assert chan.G_QLED.tolist() == expected
+
+
+class TestDisperse:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("order", [4, 16, 64, 4096])
+    @pytest.mark.parametrize("dt", [0.0, 0.1, 0.5, 1.0])
+    def test_bitwise_equal_to_lfilter_over_chained_calls(self, dt, order, dtype):
+        taps = chan.discretize_impulse_response(dt, order, RS).astype(dtype)
+        rng = np.random.default_rng(order)
+        zi_want = zi_got = np.zeros((len(taps) - 1, 4), dtype=dtype)
+        for n_samples in (1000, 7, 1500):
+            x = rng.random((n_samples, 4)).astype(dtype)
+            x[:, 2] = 0.0  # a band held at zero
+            want, zi_want = lfilter(taps, np.array([1.0], dtype=dtype), x,
+                                    axis=0, zi=zi_want)
+            got, zi_got = chan.disperse(x, taps, zi_got)
+            assert got.dtype == want.dtype and zi_got.dtype == zi_want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(zi_got, zi_want)
+
+    def test_single_tap_passes_through(self):
+        x = np.random.default_rng(0).random((10, 3))
+        y, zf = chan.disperse(x, np.array([1.0]), np.zeros((0, 3)))
+        np.testing.assert_array_equal(y, x)
+        assert zf.shape == (0, 3)
+
+    def test_state_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            chan.disperse(np.zeros((5, 4)), np.ones(3) / 3, np.zeros((3, 4)))
+
+
+def test_import_leaves_scipy_signal_out():
+    """scipy.signal costs about a second of import time and is not used."""
+    src = str(Path(cskfde.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = "import sys, cskfde; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestApplyChannel:

@@ -116,6 +116,38 @@ def test_screened_run_equals_full_metric_float64(scheme, order):
     _assert_matches_reference(harness.LinkSimulator(cfg, dtype=np.float64))
 
 
+@pytest.mark.parametrize("scheme,order,fde_on", [("qled", 4, True),
+                                                 ("tled", 16, False)])
+def test_one_block_chunks_equal_full_metric(scheme, order, fde_on):
+    cfg = harness.ExperimentConfig(scheme=scheme, order=order, dt=1.0, fde=fde_on)
+    _assert_matches_reference(harness.LinkSimulator(cfg), blocks=6,
+                              chunk_blocks=1)
+
+
+@pytest.mark.parametrize("slice_blocks", [1, 512])
+def test_stop_in_mid_stream_equals_full_metric(monkeypatch, slice_blocks):
+    """A decisive stop with the draw thread mid-chunk, and mid-slice."""
+    monkeypatch.setattr(harness, "_SLICE_BLOCKS", slice_blocks)
+    cfg = harness.ExperimentConfig(scheme="qled", order=16, dt=1.0)
+    sim = harness.LinkSimulator(cfg)
+    n_bits = 200 * cfg.n * sim.k
+    for snr, seed in ((18.0, 4), (19.0, 4), (20.0, 4)):
+        args = (harness.sigma_from_snr(snr), n_bits, seed)
+        kwargs = dict(stop_target=1e-3, min_bit_errors=20, chunk_blocks=7)
+        got = sim.run(*args, **kwargs)
+        assert got == reference_run(sim, *args, **kwargs)
+        assert 6 * cfg.n * sim.k < got[1] < n_bits, (snr, got)
+
+
+def test_numpy_float64_sigma_equals_full_metric():
+    """A float64 sigma promotes the scaled noise, as ``sigma * draw`` does."""
+    cfg = harness.ExperimentConfig(scheme="qled", order=64, dt=1.0)
+    sim = harness.LinkSimulator(cfg)
+    args = (np.float64(harness.sigma_from_snr(20.0)), 12 * cfg.n * sim.k, 3)
+    assert sim.run(*args, chunk_blocks=5) == reference_run(sim, *args,
+                                                           chunk_blocks=5)
+
+
 def test_chunk_with_exactly_one_suspect_row():
     cfg = harness.ExperimentConfig(scheme="qled", order=16, dt=1.0)
     sim = harness.LinkSimulator(cfg)

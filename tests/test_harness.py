@@ -1,5 +1,9 @@
 """Harness tests: rates, OOK baseline, BER points, bisection, reproducibility."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -247,6 +251,152 @@ class TestBerCurve:
         import json
         data = json.loads(json_path.read_text())
         assert data["entries"][0]["achievable"] is True
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+def _assert_no_thread_left(start, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while threading.active_count() != start and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == start
+    assert not any(t.name == "cskfde-draws" for t in threading.enumerate())
+
+
+class TestDrawPipeline:
+    """The draw thread of LinkSimulator.run: same draws, no stray thread."""
+
+    def test_no_thread_outlives_a_full_run(self):
+        start = threading.active_count()
+        sim = harness.LinkSimulator(fast_cfg(dt=1.0))
+        sim.run(harness.sigma_from_snr(12.0), 20 * 64 * sim.k, 1, chunk_blocks=3)
+        _assert_no_thread_left(start)
+
+    def test_no_thread_outlives_a_decisive_stop_at_chunk_one(self):
+        start = threading.active_count()
+        sim = harness.LinkSimulator(fast_cfg(dt=1.0))
+        errors, bits, censored = sim.run(harness.sigma_from_snr(6.0),
+                                         200_000_000, 1, stop_target=1e-6)
+        assert bits == 4095 * 64 * sim.k and not censored
+        _assert_no_thread_left(start)
+
+    def test_no_thread_outlives_a_detection_error(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise _Boom("detection failed")
+        monkeypatch.setattr(modem, "nearest_points", boom)
+        start = threading.active_count()
+        sim = harness.LinkSimulator(fast_cfg(dt=1.0))
+        with pytest.raises(_Boom):
+            sim.run(harness.sigma_from_snr(12.0), 200_000_000, 1)
+        _assert_no_thread_left(start)
+
+    @pytest.mark.parametrize("fail_at", [1, 5])
+    def test_draw_error_reaches_the_caller(self, monkeypatch, fail_at):
+        make_rng = chan.make_rng
+
+        class FaultyRng:
+            """The real stream, failing at the fail_at-th noise slice."""
+
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+                self.calls = 0
+
+            def integers(self, *args, **kwargs):
+                return self.rng.integers(*args, **kwargs)
+
+            def standard_normal(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == fail_at:
+                    raise _Boom("noise draw failed")
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(chan, "make_rng", FaultyRng)
+        monkeypatch.setattr(harness, "_SLICE_BLOCKS", 1)
+        start = threading.active_count()
+        sim = harness.LinkSimulator(fast_cfg(dt=1.0))
+        with pytest.raises(_Boom, match="noise draw failed"):
+            sim.run(harness.sigma_from_snr(20.0), 20 * 64 * sim.k, 1,
+                    chunk_blocks=3)
+        _assert_no_thread_left(start)
+
+    def test_concurrent_runs_under_fast_switching(self):
+        """Three callers, each with its own draw thread, on two cores."""
+        sims = [harness.LinkSimulator(fast_cfg(dt=1.0)) for _ in range(3)]
+        args = [(harness.sigma_from_snr(8.0 + i), 40 * 64 * 2, (4, i))
+                for i in range(3)]
+        kwargs = dict(min_bit_errors=1 << 30, chunk_blocks=4)
+        want = [sim.run(*a, **kwargs) for sim, a in zip(sims, args)]
+        got = [None] * 3
+
+        def call(i):
+            got[i] = sims[i].run(*args[i], **kwargs)
+        start = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        _assert_no_thread_left(start)
+
+    def test_chunk_sizes_carry_one_warmup_block(self):
+        assert harness._chunk_sizes(12, 5) == [5, 5, 3]
+        assert harness._chunk_sizes(1, 4096) == [2]
+        assert harness._chunk_sizes(3, 1) == [1, 1, 1, 1]
+        with pytest.raises(InvalidParameter):
+            harness.LinkSimulator(fast_cfg()).run(0.1, 1000, 1, chunk_blocks=0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sigma", [0.0, 0.0531, np.float64(0.0531)])
+    def test_chunk_draws_are_the_serial_draws(self, monkeypatch, dtype, sigma):
+        """Sliced draws and sigma scaled into the chunk buffer equal the
+        serial loop's ``integers`` then ``sigma * standard_normal``."""
+        monkeypatch.setattr(harness, "_SLICE_BLOCKS", 2)
+        sizes = harness._chunk_sizes(12, 5)
+        n, cp, order, bands = 8, 2, 64, 4
+        rng = chan.make_rng((1, 7))
+        want = []
+        for nb in sizes:
+            want.append(rng.integers(0, order, size=nb * n))
+            if sigma > 0:
+                want.append(sigma * rng.standard_normal((nb * (n + cp), bands),
+                                                        dtype=dtype))
+        with harness._ChunkDraws(chan.make_rng((1, 7)), sizes, n, cp, order,
+                                 bands, sigma, dtype) as draws:
+            got = [draws.get() for _ in want]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("order", [4, 16, 64, 4096])
+    def test_philox_draws_are_slice_invariant(self, order, dtype):
+        """Consecutive slices of one call give the values of the whole call,
+        also with integer and normal draws interleaved."""
+        seed = (3, 11)
+        whole, sliced = chan.make_rng(seed), chan.make_rng(seed)
+        cuts = np.random.default_rng(order).integers(1, 40, size=30)
+        for chunk in range(3):
+            n_idx, n_rows = 400 + 37 * chunk, 300 + 11 * chunk
+            idx = whole.integers(0, order, size=n_idx)
+            noise = whole.standard_normal((n_rows, 4), dtype=dtype)
+            parts, start = [], 0
+            for cut in cuts:
+                parts.append(sliced.integers(0, order, size=min(cut, n_idx - start)))
+                start += len(parts[-1])
+            parts.append(sliced.integers(0, order, size=n_idx - start))
+            assert np.array_equal(np.concatenate(parts), idx)
+            out = np.empty((n_rows, 4), dtype=dtype)
+            for start in range(0, n_rows, 7):
+                sliced.standard_normal(out=out[start:start + 7], dtype=dtype)
+            assert np.array_equal(out, noise)
 
 
 def test_fde_dominates_unequalised_under_dispersion():
