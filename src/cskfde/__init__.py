@@ -11,7 +11,6 @@ from .channel import (
     apply_channel,
     calibrate,
     discretize_impulse_response,
-    effective_responsivity,
 )
 from .colorimetry import (
     Chromaticity,
@@ -25,7 +24,7 @@ from .colorimetry import (
     intensity_from_chromaticity,
     select_qled_triad,
 )
-from .fde import EqualizerSpec, SpectralChannel, build_zfe, dft, equalize_block, idft
+from .fde import build_zfe, dft, equalize, equalize_block, idft
 from .harness import (
     UNACHIEVABLE,
     BerCurve,
@@ -40,13 +39,6 @@ from .harness import (
     run_ber_point,
     sweep_dt,
 )
-from .modem import (
-    FramedBlock,
-    add_cyclic_prefix,
-    demap,
-    ml_detect,
-    modulate,
-    remove_cyclic_prefix,
-)
+from .modem import frame, ml_detect
 
 __version__ = "0.1.0"

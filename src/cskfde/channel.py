@@ -1,20 +1,14 @@
 """Diffuse optical wireless channel: exponential-decay dispersion, colour
-cross-talk / insertion loss, additive white Gaussian detector noise and the
-effective-responsivity band-overlap integral."""
+cross-talk / insertion loss, additive white Gaussian detector noise and
+colour calibration."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptySupport,
-    InvalidParameter,
-    SingularMatrix,
-)
+from .errors import DimensionMismatch, InvalidParameter, SingularMatrix
 
 # Cross-talk and insertion-loss (CIL) matrices of effective responsivities
 # for the shipped front ends.  Rows are receive bands, columns transmit bands.
@@ -163,61 +157,30 @@ def apply_channel(tx: np.ndarray, model: ChannelModel, g_matrix: np.ndarray,
     return rx, zf
 
 
-def calibrate(rx: np.ndarray, g_matrix: np.ndarray) -> np.ndarray:
-    """Colour calibration: per-sample multiplication by the inverse CIL matrix."""
-    rx = np.atleast_2d(np.asarray(rx, dtype=float))
-    if g_matrix.shape[0] != g_matrix.shape[1] or rx.shape[1] != g_matrix.shape[0]:
-        raise DimensionMismatch("CIL matrix must be square and match the band count")
+def cil_inverse(g_matrix, n_bands: int) -> np.ndarray:
+    """Inverse of the CIL matrix, validated for an ``n_bands`` link.
+
+    Raises DimensionMismatch unless G is n_bands x n_bands, and
+    SingularMatrix if G holds NaN or inf, cannot be inverted, or has an
+    inverse that is not finite.
+    """
+    g_matrix = np.asarray(g_matrix, dtype=float)
+    if g_matrix.shape != (n_bands, n_bands):
+        raise DimensionMismatch(
+            f"CIL matrix {g_matrix.shape} must be square and match "
+            f"{n_bands} bands")
+    if not np.all(np.isfinite(g_matrix)):
+        raise SingularMatrix("CIL matrix is not finite")
     try:
         g_inv = np.linalg.inv(g_matrix)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix("CIL matrix is not invertible") from exc
     if not np.all(np.isfinite(g_inv)):
         raise SingularMatrix("CIL matrix inverse is not finite")
-    return rx @ g_inv.T
+    return g_inv
 
 
-def _support_slice(values) -> slice:
-    nz = np.nonzero(values)[0]
-    if nz.size == 0:
-        return slice(0, 0)
-    return slice(nz[0], nz[-1] + 1)
-
-
-def effective_responsivity(wavelength_nm, spd, transmissivity, responsivity) -> float:
-    """Band-overlap effective responsivity between one source and one detector.
-
-    Trapezoidal ratio of the filtered detected power integral (S * T * R,
-    integrated over the filter's passband) to the plain source power integral
-    (S over the source's band), with all curves sampled on the common
-    ``wavelength_nm`` grid.  The integration windows follow the curve
-    supports, so a sharp-edged filter contributes no ramp outside its band.
-    """
-    lam = np.asarray(wavelength_nm, dtype=float)
-    s = np.asarray(spd, dtype=float)
-    t = np.asarray(transmissivity, dtype=float)
-    re = np.asarray(responsivity, dtype=float)
-    if not (lam.shape == s.shape == t.shape == re.shape):
-        raise DimensionMismatch("curves must share the wavelength grid")
-    src = _support_slice(s)
-    denominator = np.trapezoid(s[src], lam[src])
-    if denominator <= 0:
-        raise EmptySupport("source SPD integrates to zero")
-    band = _support_slice(t)
-    numerator = np.trapezoid((s * t * re)[band], lam[band])
-    return float(numerator / denominator)
-
-
-def load_curve(path):
-    """Two-column CSV (wavelength nm, value) -> (wavelengths, values)."""
-    lam, val = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            try:
-                lam.append(float(row[0]))
-                val.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise InvalidParameter(f"bad curve row {row!r}") from exc
-    return np.array(lam), np.array(val)
+def calibrate(rx: np.ndarray, g_matrix: np.ndarray) -> np.ndarray:
+    """Colour calibration: per-sample multiplication by the inverse CIL matrix."""
+    rx = np.atleast_2d(np.asarray(rx, dtype=float))
+    return rx @ cil_inverse(g_matrix, rx.shape[1]).T

@@ -281,12 +281,6 @@ class Constellation:
     def n_bands(self) -> int:
         return self.intensities.shape[1]
 
-    def index_of_label(self) -> np.ndarray:
-        """Inverse permutation: label value -> point index."""
-        inv = np.empty(self.order, dtype=np.int64)
-        inv[self.labels] = np.arange(self.order)
-        return inv
-
     @cached_property
     def nearest_neighbour_distances(self) -> np.ndarray:
         """(M,) read-only: intensity-space distance from each point to its

@@ -41,10 +41,6 @@ class SingularMatrix(CskError):
     """Cross-talk matrix is not invertible."""
 
 
-class EmptySupport(CskError):
-    """Spectral power distribution integrates to zero."""
-
-
 class SpectralNull(CskError):
     """Channel frequency response has a (near-)zero bin; zero forcing undefined."""
 

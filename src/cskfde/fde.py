@@ -7,14 +7,12 @@ reads sum |x|^2 == (1/N) sum |X|^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.fft as _sfft
 
 from .errors import InvalidLength, SpectralNull
 
 _NULL_EPS = 1e-12
-_IMAG_EPS = 1e-9
 
 
 def _check_block_length(n: int) -> None:
@@ -36,62 +34,47 @@ def idft(spectrum) -> np.ndarray:
     return np.fft.ifft(x, axis=0)
 
 
-@dataclass(frozen=True)
-class SpectralChannel:
-    """Size-N DFT of the zero-padded channel taps (the diagonal of Lambda)."""
-
-    bin_gains: np.ndarray
-
-    @classmethod
-    def from_taps(cls, taps, n: int) -> "SpectralChannel":
-        taps = np.asarray(taps, dtype=float)
-        _check_block_length(n)
-        if taps.size == 0 or taps.size > n:
-            raise InvalidLength(
-                f"need 1..{n} taps for an N={n} transform, got {taps.size}")
-        return cls(np.fft.fft(taps, n))
-
-
-@dataclass(frozen=True)
-class EqualizerSpec:
-    """Per-bin zero-forcing coefficients z[k] = conj(l[k]) / |l[k]|^2."""
-
-    coefficients: np.ndarray
-
-
-def build_zfe(taps, n: int) -> EqualizerSpec:
-    """Zero-forcing equaliser for the given taps at FFT size ``n``.
+def build_zfe(taps, n: int) -> np.ndarray:
+    """Zero-forcing coefficients z[k] = conj(l[k]) / |l[k]|^2 at FFT size
+    ``n``, with l the size-n DFT of the zero-padded taps.
 
     Raises SpectralNull if any channel bin magnitude is below 1e-12 (the
     exponential-decay taps used here never null a bin, but the contract is
     checked rather than assumed).
     """
-    lam = SpectralChannel.from_taps(taps, n).bin_gains
+    taps = np.asarray(taps, dtype=float)
+    _check_block_length(n)
+    if taps.size == 0 or taps.size > n:
+        raise InvalidLength(
+            f"need 1..{n} taps for an N={n} transform, got {taps.size}")
+    lam = np.fft.fft(taps, n)
     mag2 = np.abs(lam) ** 2
     if np.any(np.sqrt(mag2) < _NULL_EPS):
         raise SpectralNull("channel frequency response has a near-zero bin")
-    return EqualizerSpec(np.conj(lam) / mag2)
+    return np.conj(lam) / mag2
 
 
-def equalize_block(rx_block, eq: EqualizerSpec) -> np.ndarray:
-    """Equalise one CP-stripped block (optionally multi-band, shape (N, bands)).
+def equalize(payload, zfe_half) -> np.ndarray:
+    """Zero-force a (n_blocks, N, n_bands) stack of CP-stripped blocks.
 
-    FFT, per-bin multiplication by the zero-forcing coefficients, inverse
-    FFT; the imaginary residue is asserted below 1e-9 before the real part
-    is returned.
+    Real FFT along each block, multiplication by the first N/2 + 1
+    zero-forcing coefficients ``zfe_half``, inverse real FFT.  The output is
+    real by construction; the coefficients of real taps are conjugate
+    symmetric, so the other N/2 - 1 bins carry nothing new.
     """
+    spectrum = _sfft.rfft(payload, axis=1)
+    spectrum *= zfe_half[None, :, None]
+    return _sfft.irfft(spectrum, n=payload.shape[1], axis=1)
+
+
+def equalize_block(rx_block, zfe) -> np.ndarray:
+    """Equalise one CP-stripped block (optionally multi-band, shape (N, bands))
+    with the N coefficients of :func:`build_zfe`."""
     x = np.asarray(rx_block, dtype=float)
     squeeze = x.ndim == 1
     x = np.atleast_2d(x.T).T  # (N, bands)
-    if x.shape[0] != eq.coefficients.shape[0]:
-        raise InvalidLength(
-            f"block length {x.shape[0]} != equaliser size {eq.coefficients.shape[0]}")
-    spectrum = np.fft.fft(x, axis=0) * eq.coefficients[:, None]
-    out = np.fft.ifft(spectrum, axis=0)
-    residue = np.abs(out.imag).max() if out.size else 0.0
-    if residue >= _IMAG_EPS:
-        raise SpectralNull(
-            f"imaginary residue {residue:.3e} exceeds {_IMAG_EPS}; "
-            "input was not a real conjugate-symmetric block")
-    real = out.real
-    return real[:, 0] if squeeze else real
+    n = len(zfe)
+    if x.shape[0] != n:
+        raise InvalidLength(f"block length {x.shape[0]} != equaliser size {n}")
+    out = equalize(x[None], np.asarray(zfe)[:n // 2 + 1])[0]
+    return out[:, 0] if squeeze else out

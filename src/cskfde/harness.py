@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.fft as _sfft
 from scipy.special import erfcinv
 
 from . import channel as chan
@@ -42,12 +41,6 @@ from . import colorimetry, fde, modem
 from .errors import InvalidParameter, InvalidTarget, UnsupportedOrder
 
 UNACHIEVABLE = "unachievable"
-
-_POPCOUNT = np.array([bin(i).count("1") for i in range(1 << 12)], dtype=np.int64)
-
-# Above this share of suspect rows in a chunk, the full metric runs over the
-# contiguous rows: gathering nearly all of them costs more than it saves.
-_GATHER_MAX_SHARE = 0.75
 
 # The draw thread fills each chunk in slices of this many blocks and looks
 # for a stop request between slices.
@@ -284,12 +277,17 @@ class _ChunkDraws:
 class LinkSimulator:
     """Vectorised end-to-end link for one configuration.
 
-    The chain per run: bits -> constellation mapping -> N-symbol blocks with
-    a length-L cyclic prefix -> per-band linear convolution with the channel
-    taps (:func:`channel.disperse`) -> CIL mixing -> detector AWGN -> colour
-    calibration -> CP removal -> (optional) per-block zero-forcing FDE -> ML
-    detection -> bit errors.  Uniform random symbol indices are drawn
-    directly, which is equivalent to mapping uniform random bits.  The first
+    One run is the paper's chain, chunk by chunk, each stage one batched
+    function over all blocks of the chunk: constellation mapping ->
+    cyclic-prefix framing (:func:`modem.frame`) -> per-band linear
+    convolution with the channel taps (:func:`channel.disperse`) -> CIL
+    mixing -> detector AWGN -> colour calibration by the validated inverse
+    (:func:`channel.cil_inverse`) -> CP removal (the ``[:, cp:]`` slice) ->
+    (optional) zero-forcing FDE (:func:`fde.equalize`) -> screened ML
+    detection and bit-error count (:func:`modem.count_bit_errors`).  The
+    per-block functions of those modules call the same code.  Uniform random
+    symbol indices are drawn directly, which is equivalent to mapping
+    uniform random bits, and errors are counted by label XOR.  The first
     block of every stream is a warm-up excluded from error counting.
 
     The run works in chunks of blocks on two threads.  A helper thread
@@ -305,7 +303,8 @@ class LinkSimulator:
     (:func:`modem.trust_thresholds`) provably detects as that point, so only
     the other rows go through the full metric (:func:`modem.nearest_points`).
     The decisions, and so the bit errors, are those of the full metric on
-    every row.
+    every row.  A bad CIL matrix raises DimensionMismatch or SingularMatrix
+    at construction, before any run starts.
     """
 
     def __init__(self, config: ExperimentConfig,
@@ -318,12 +317,12 @@ class LinkSimulator:
         if g_matrix is None:
             g_matrix = chan.G_TLED if self.constellation.scheme == colorimetry.TLED \
                 else chan.G_QLED
-        self.g = np.asarray(g_matrix, dtype=dtype)
-        self.g_inv = np.linalg.inv(np.asarray(g_matrix, dtype=float)).astype(dtype)
-        self.taps = chan.discretize_impulse_response(
-            config.dt, config.order, config.symbol_rate, config.n_taps).astype(dtype)
         self.k = self.constellation.bits_per_symbol
         self.n_bands = self.constellation.n_bands
+        self.g_inv = chan.cil_inverse(g_matrix, self.n_bands).astype(dtype)
+        self.g = np.asarray(g_matrix, dtype=dtype)
+        self.taps = chan.discretize_impulse_response(
+            config.dt, config.order, config.symbol_rate, config.n_taps).astype(dtype)
         self.points = self.constellation.intensities.astype(dtype)
         self.ct, self.half_norms = modem.detection_metric(self.constellation, dtype)
         self.trust_sq = modem.trust_thresholds(self.constellation, dtype)
@@ -335,7 +334,7 @@ class LinkSimulator:
         zfe = fde.build_zfe(self.taps.astype(float), config.n)
         # real-input FFT needs only the first N/2 + 1 bins
         ctype = np.complex64 if dtype == np.float32 else np.complex128
-        self.zfe_half = zfe.coefficients[:config.n // 2 + 1].astype(ctype)
+        self.zfe_half = zfe[:config.n // 2 + 1].astype(ctype)
         self.dtype = dtype
 
     def run(self, sigma: float, n_bits: int, seed,
@@ -366,34 +365,24 @@ class LinkSimulator:
             for nb in sizes:
                 tx_idx = draws.get()
                 tx = self.points[tx_idx].reshape(nb, n, self.n_bands)
-                framed = np.concatenate([tx[:, n - cp:], tx], axis=1) if cp else tx
-                serial = framed.reshape(nb * (n + cp), self.n_bands)
-                dispersed, zi = chan.disperse(serial, self.taps, zi)
+                dispersed, zi = chan.disperse(modem.frame(tx, cp), self.taps, zi)
                 rx = dispersed @ self.g.T
                 if sigma > 0:
                     rx += draws.get()
                 rx = rx @ self.g_inv.T
                 payload = rx.reshape(nb, n + cp, self.n_bands)[:, cp:]
                 if cfg.fde:
-                    spectrum = _sfft.rfft(payload, axis=1)
-                    spectrum *= self.zfe_half[None, :, None]
-                    payload = _sfft.irfft(spectrum, n=n, axis=1)
-                received = payload.reshape(nb * n, self.n_bands)
+                    payload = fde.equalize(payload, self.zfe_half)
                 first = n * warmup  # the warm-up block is not counted
-                rows, sent_idx = received[first:], tx_idx[first:]
-                suspects = modem.suspect_rows(
-                    rows, tx.reshape(nb * n, self.n_bands)[first:],
-                    self.trust_sq[sent_idx])
-                self.detected_rows += len(sent_idx)
-                self.suspect_rows += len(suspects)
-                if len(suspects) > _GATHER_MAX_SHARE * len(sent_idx):
-                    suspects = slice(None)
-                det_idx = modem.nearest_points(rows[suspects], self.ct,
-                                               self.half_norms)
-                diff = self.labels[det_idx] ^ self.labels[sent_idx[suspects]]
+                chunk_errors, suspects = modem.count_bit_errors(
+                    payload.reshape(nb * n, self.n_bands)[first:],
+                    tx.reshape(nb * n, self.n_bands)[first:], tx_idx[first:],
+                    self.trust_sq, self.ct, self.half_norms, self.labels)
                 counted = nb - warmup
                 warmup = 0
-                errors += int(_POPCOUNT[diff].sum())
+                self.detected_rows += counted * n
+                self.suspect_rows += suspects
+                errors += chunk_errors
                 bits += counted * n * self.k
                 if stop_target is None:
                     if errors >= min_errors:

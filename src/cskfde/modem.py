@@ -1,90 +1,30 @@
-"""Bit-level modem: symbol mapping, cyclic-prefix framing and ML detection."""
+"""Modem: cyclic-prefix framing, screened ML detection and the bit-error
+count."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .colorimetry import Constellation
-from .errors import IndexOutOfRange, InvalidPrefix, LengthMismatch
+from .errors import InvalidPrefix, LengthMismatch
 
 
-@dataclass(frozen=True)
-class FramedBlock:
-    """One cyclic-prefixed block: the last ``n_prefix`` payload symbols are
-    copied to the front, so ``data`` holds N + L rows of per-band samples."""
+def frame(tx_blocks, cp: int) -> np.ndarray:
+    """Cyclic-prefix framing of a stack of blocks into one serial stream.
 
-    data: np.ndarray  # (N + L, n_bands)
-    n_payload: int
-    n_prefix: int
-
-    @property
-    def prefix(self) -> np.ndarray:
-        return self.data[:self.n_prefix]
-
-    @property
-    def payload(self) -> np.ndarray:
-        return self.data[self.n_prefix:]
-
-
-def bits_to_indices(bits, constellation: Constellation) -> np.ndarray:
-    """Group bits into symbols and map each label to its constellation index."""
-    bits = np.asarray(bits, dtype=np.int64).ravel()
-    k = constellation.bits_per_symbol
-    if bits.size % k:
-        raise LengthMismatch(f"bit count {bits.size} not divisible by {k}")
-    if bits.size == 0:
-        return np.empty(0, dtype=np.int64)
-    groups = bits.reshape(-1, k)
-    weights = 1 << np.arange(k - 1, -1, -1)
-    labels = groups @ weights
-    return constellation.index_of_label()[labels]
-
-
-def modulate(bits, constellation: Constellation) -> np.ndarray:
-    """Map a bit sequence to intensity vectors, k = log2(M) bits per symbol."""
-    idx = bits_to_indices(bits, constellation)
-    return constellation.intensities[idx]
-
-
-def pad_bits_to_block(bits, constellation: Constellation, block_len: int):
-    """Zero-pad a bit sequence so it fills whole N-symbol blocks.
-
-    The pad repeats the all-zeros label symbol; the returned pad length (in
-    bits) lets the caller exclude padding from error counting.
+    ``tx_blocks`` is (n_blocks, N, n_bands).  Each block gets its last ``cp``
+    rows copied to its front, and the framed blocks are laid end to end as
+    (n_blocks * (N + cp), n_bands) rows.  Removing the prefix at the
+    receiver is the slice ``[:, cp:]`` of the (n_blocks, N + cp, n_bands)
+    view of the received stream.
     """
-    bits = np.asarray(bits, dtype=np.int64).ravel()
-    k = constellation.bits_per_symbol
-    if bits.size % k:
-        raise LengthMismatch(f"bit count {bits.size} not divisible by {k}")
-    block_bits = block_len * k
-    n_pad = (-bits.size) % block_bits
-    if n_pad == 0:
-        return bits, 0
-    return np.concatenate([bits, np.zeros(n_pad, dtype=np.int64)]), n_pad
-
-
-def add_cyclic_prefix(block: np.ndarray, n_prefix: int) -> FramedBlock:
-    """Prepend the last ``n_prefix`` rows of the payload to its front."""
-    block = np.atleast_2d(np.asarray(block))
-    n = block.shape[0]
-    if n_prefix > n:
-        raise InvalidPrefix(f"prefix {n_prefix} exceeds payload {n}")
-    if n_prefix == 0:
-        framed = block
-    else:
-        framed = np.concatenate([block[n - n_prefix:], block], axis=0)
-    return FramedBlock(framed, n, n_prefix)
-
-
-def remove_cyclic_prefix(framed: np.ndarray, n_payload: int, n_prefix: int) -> np.ndarray:
-    """Drop the first ``n_prefix`` rows of a received N + L block."""
-    framed = np.atleast_2d(np.asarray(framed))
-    if framed.shape[0] != n_payload + n_prefix:
-        raise LengthMismatch(
-            f"expected {n_payload + n_prefix} rows, got {framed.shape[0]}")
-    return framed[n_prefix:]
+    tx_blocks = np.asarray(tx_blocks)
+    n_blocks, n, n_bands = tx_blocks.shape
+    if not 0 <= cp <= n:
+        raise InvalidPrefix(f"prefix {cp} outside 0..{n}, the payload length")
+    framed = np.concatenate([tx_blocks[:, n - cp:], tx_blocks], axis=1) \
+        if cp else tx_blocks
+    return framed.reshape(n_blocks * (n + cp), n_bands)
 
 
 # --- detection -----------------------------------------------------------------
@@ -99,6 +39,12 @@ def remove_cyclic_prefix(framed: np.ndarray, n_payload: int, n_prefix: int) -> n
 METRIC_TILE_ENTRIES = 1 << 16
 TRUST_FRACTION = 0.45  # c in the trust radius c * nn_j; any c < 1/2 is exact
 TRUST_MARGIN = 10.0    # proven metric gap over the float error bound
+
+# Above this share of suspect rows, the full metric runs over the contiguous
+# rows: gathering nearly all of them costs more than it saves.
+_GATHER_MAX_SHARE = 0.75
+
+_POPCOUNT = np.array([bin(i).count("1") for i in range(1 << 12)], dtype=np.int64)
 
 
 def detection_metric(constellation: Constellation, dtype=float):
@@ -225,12 +171,22 @@ def ml_detect(received, constellation: Constellation) -> np.ndarray:
     return idx if np.asarray(received).ndim > 1 else int(idx[0])
 
 
-def demap(indices, constellation: Constellation) -> np.ndarray:
-    """Concatenate the k-bit labels of the detected constellation points."""
-    idx = np.asarray(indices, dtype=np.int64).ravel()
-    if idx.size and (idx.min() < 0 or idx.max() >= constellation.order):
-        raise IndexOutOfRange(f"index outside 0..{constellation.order - 1}")
-    k = constellation.bits_per_symbol
-    labels = constellation.labels[idx]
-    shifts = np.arange(k - 1, -1, -1)
-    return ((labels[:, None] >> shifts) & 1).astype(np.int64).ravel()
+def count_bit_errors(rows, sent_rows, sent_idx, trust_sq, ct, half_norms,
+                     labels):
+    """Bit errors of detecting ``rows`` when the points ``sent_idx`` (at
+    intensities ``sent_rows``) were sent, and how many rows were suspect.
+
+    The detection is screened: a row inside the trust radius of its sent
+    point (``trust_sq``, from :func:`trust_thresholds`) detects as that
+    point, so only the suspect rows go through :func:`nearest_points`, or
+    every row once suspects are more than ``_GATHER_MAX_SHARE`` of them.
+    The errors are those of the full metric on every row.  A bit error is a
+    set bit of the XOR of the sent and the detected ``labels``.
+    """
+    suspects = suspect_rows(rows, sent_rows, trust_sq[sent_idx])
+    n_suspects = len(suspects)
+    if n_suspects > _GATHER_MAX_SHARE * len(sent_idx):
+        suspects = slice(None)
+    det_idx = nearest_points(rows[suspects], ct, half_norms)
+    diff = labels[det_idx] ^ labels[sent_idx[suspects]]
+    return int(_POPCOUNT[diff].sum()), n_suspects

@@ -1,4 +1,4 @@
-"""Channel tests: tap discretisation, CIL mixing, calibration, noise, responsivity."""
+"""Channel tests: tap discretisation, CIL mixing, calibration, noise."""
 
 import os
 import subprocess
@@ -11,12 +11,7 @@ from scipy.signal import lfilter
 
 import cskfde
 from cskfde import channel as chan
-from cskfde.errors import (
-    DimensionMismatch,
-    EmptySupport,
-    InvalidParameter,
-    SingularMatrix,
-)
+from cskfde.errors import DimensionMismatch, InvalidParameter, SingularMatrix
 
 RS = 24e6
 
@@ -216,52 +211,26 @@ class TestCalibrate:
         with pytest.raises(SingularMatrix):
             chan.calibrate(np.zeros((2, 2)), np.array([[1.0, 1.0], [1.0, 1.0]]))
 
-
-class TestEffectiveResponsivity:
-    def test_constants_factor_out(self):
-        lam = np.linspace(400, 500, 101)
-        spd = np.ones_like(lam)
-        assert chan.effective_responsivity(
-            lam, spd, np.ones_like(lam), np.full_like(lam, 0.2)) == pytest.approx(0.2)
-
-    def test_blocking_filter_gives_zero(self):
-        lam = np.linspace(400, 500, 101)
-        spd = np.exp(-((lam - 450) / 20) ** 2)
-        assert chan.effective_responsivity(
-            lam, spd, np.zeros_like(lam), np.full_like(lam, 0.3)) == 0.0
-
-    def test_gaussian_spd_box_filter_vs_fine_grid(self):
-        """Trapezoid on the working grid vs a 10x denser reference quadrature."""
-        def curves(lam):
-            spd = np.exp(-0.5 * ((lam - 520) / 15) ** 2)
-            t = ((lam >= 500) & (lam <= 540)).astype(float)
-            re = np.full_like(lam, 0.25)
-            return spd, t, re
-
-        lam = np.linspace(450, 600, 301)
-        spd, t, re = curves(lam)
-        coarse = chan.effective_responsivity(lam, spd, t, re)
-        lam_f = np.linspace(450, 600, 3001)
-        spd_f, t_f, re_f = curves(lam_f)
-        mask = (lam_f >= 500) & (lam_f <= 540)
-        fine = np.trapezoid((spd_f * t_f * re_f)[mask], lam_f[mask]) / np.trapezoid(spd_f, lam_f)
-        assert abs(coarse - fine) / fine < 1e-4
-
-    def test_empty_support(self):
-        lam = np.linspace(400, 500, 11)
-        with pytest.raises(EmptySupport):
-            chan.effective_responsivity(lam, np.zeros_like(lam),
-                                        np.ones_like(lam), np.ones_like(lam))
-
-    def test_grid_mismatch(self):
+    def test_band_count_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            chan.effective_responsivity(np.arange(5.0), np.ones(5),
-                                        np.ones(4), np.ones(5))
+            chan.calibrate(np.zeros((2, 4)), chan.G_TLED)
 
 
-def test_load_curve(tmp_path):
-    p = tmp_path / "spd.csv"
-    p.write_text("# wavelength,value\n400,0.0\n450,1.0\n500,0.5\n")
-    lam, val = chan.load_curve(p)
-    np.testing.assert_array_equal(lam, [400, 450, 500])
-    np.testing.assert_array_equal(val, [0.0, 1.0, 0.5])
+class TestCilInverse:
+    def test_matches_numpy_inverse_bitwise(self):
+        for g in (chan.G_TLED, chan.G_QLED):
+            np.testing.assert_array_equal(chan.cil_inverse(g, len(g)),
+                                          np.linalg.inv(g))
+
+    @pytest.mark.parametrize("g", [np.ones((3, 3)), np.zeros((4, 4)),
+                                   np.array([[1.0, np.nan], [0.0, 1.0]]),
+                                   np.array([[np.inf, 0.0], [0.0, 1.0]])])
+    def test_singular_or_non_finite(self, g):
+        with pytest.raises(SingularMatrix):
+            chan.cil_inverse(g, len(g))
+
+    @pytest.mark.parametrize("shape,n_bands", [((3, 3), 4), ((4, 3), 4),
+                                               ((4, 4, 1), 4), ((4,), 4)])
+    def test_wrong_shape(self, shape, n_bands):
+        with pytest.raises(DimensionMismatch):
+            chan.cil_inverse(np.ones(shape), n_bands)

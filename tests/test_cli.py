@@ -86,6 +86,22 @@ class TestLoopbackCommand:
                         "--dt", "1", "--fde", "off", "--bits", "40000"])
         assert code == 1
 
+    @pytest.mark.parametrize("g,error", [
+        ([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+         "SingularMatrix"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "DimensionMismatch"),
+        ([[float("nan"), 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+         "SingularMatrix"),
+    ])
+    def test_bad_cil_matrix_is_a_typed_error(self, tmp_path, capsys, g, error):
+        path = tmp_path / "g.yaml"
+        path.write_text(yaml.safe_dump({"matrices": {"g_qled": g}}))
+        code = cli.run(["loopback-check", "--config", str(path), "--bits", "1024"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {error}:")
+        assert captured.out == ""
+
 
 class TestBerCurveCommand:
     def test_writes_csv(self, tmp_path, fast_config):

@@ -162,6 +162,12 @@ class TestQledConstellation:
         rows = {tuple(np.round(v, 12)) for v in c.intensities}
         assert rows == {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
 
+    def test_zero_label_sits_at_corner_b(self):
+        """The all-zero label is the blue LED alone."""
+        c = col.build_qled_constellation(4)
+        np.testing.assert_allclose(c.intensities[c.labels == 0], [[1, 0, 0, 0]],
+                                   atol=1e-12)
+
     def test_square_quadrilateral_gives_uniform_grid(self):
         """Bilinear image of a square is affine, so the chromaticity grid is uniform."""
         src = col.SourceSet(("B", "C", "Y", "R"),

@@ -11,7 +11,13 @@ from scipy.special import erfc
 from cskfde import channel as chan
 from cskfde import colorimetry as col
 from cskfde import fde, harness, modem
-from cskfde.errors import InvalidParameter, InvalidTarget, UnsupportedOrder
+from cskfde.errors import (
+    DimensionMismatch,
+    InvalidParameter,
+    InvalidTarget,
+    SingularMatrix,
+    UnsupportedOrder,
+)
 
 
 def qfunc(x):
@@ -138,46 +144,80 @@ class TestRunBerPoint:
         assert point.bits < cfg.max_bits
 
 
-class TestFastPathAgainstPublicOps:
-    def test_float64_simulator_matches_module_chain(self):
-        """The vectorised simulator reproduces the public-op pipeline sample
-        for sample when run at float64 with the same Philox draws."""
-        cfg = fast_cfg(dt=1.0, order=16)
-        sim = harness.LinkSimulator(cfg, dtype=np.float64)
-        sigma, seed, n_blocks = 0.02, 99, 4
-        n, cp = cfg.n, cfg.cp
-
-        rng = chan.make_rng(seed)
-        n_bits = n_blocks * n * sim.k
-        errors, bits, _ = sim.run(sigma, n_bits, seed, chunk_blocks=n_blocks + 1)
-
-        # replicate with the public operations and identical variates
-        rng2 = chan.make_rng(seed)
-        nb = n_blocks + 1  # simulator prepends one warm-up block
-        tx_idx = rng2.integers(0, cfg.order, size=nb * n)
-        constellation = sim.constellation
+def _module_chain(sim, sigma, seed, chunk_sizes):
+    """(errors, bits) of the link built from the per-block operations, with
+    the simulator's draws: per chunk the symbol indices, then the noise."""
+    cfg, constellation = sim.config, sim.constellation
+    n, cp = cfg.n, cfg.cp
+    rng = chan.make_rng(seed)
+    model = chan.ChannelModel.from_parameters(cfg.dt, cfg.order, cfg.symbol_rate)
+    zfe = fde.build_zfe(model.taps, n)
+    zi = None
+    errors = counted = 0
+    for chunk, nb in enumerate(chunk_sizes):
+        tx_idx = rng.integers(0, cfg.order, size=nb * n)
         tx = constellation.intensities[tx_idx].reshape(nb, n, 4)
-        framed = np.concatenate(
-            [modem.add_cyclic_prefix(b, cp).data[None] for b in tx], axis=0)
-        serial = framed.reshape(-1, 4)
-        model = chan.ChannelModel.from_parameters(cfg.dt, cfg.order, cfg.symbol_rate)
-        dispersed, _ = chan.apply_channel(serial, model, np.eye(4),
-                                          chan.NoiseModel(0.0))
+        serial = np.concatenate([modem.frame(block[None], cp) for block in tx])
+        dispersed, zi = chan.apply_channel(serial, model, np.eye(4),
+                                           chan.NoiseModel(0.0), zi=zi)
         rx = dispersed @ chan.G_QLED.T
-        rx = rx + sigma * rng2.standard_normal(rx.shape, dtype=np.float64)
-        rx = chan.calibrate(rx, chan.G_QLED)
-        eq = fde.build_zfe(model.taps, n)
-        total_errors = 0
-        for b in range(1, nb):
-            block = rx.reshape(nb, n + cp, 4)[b]
-            payload = modem.remove_cyclic_prefix(block, n, cp)
-            equalised = fde.equalize_block(payload, eq)
-            det = modem.ml_detect(equalised, constellation)
+        rx = rx + sigma * rng.standard_normal(rx.shape, dtype=np.float64)
+        rx = chan.calibrate(rx, chan.G_QLED).reshape(nb, n + cp, 4)
+        # block 0 of the stream is the warm-up, never counted
+        for b in range(1 if chunk == 0 else 0, nb):
+            payload = rx[b, cp:]
+            if cfg.fde:
+                payload = fde.equalize_block(payload, zfe)
+            det = modem.ml_detect(payload, constellation)
             ref = tx_idx[b * n:(b + 1) * n]
             diff = constellation.labels[det] ^ constellation.labels[ref]
-            total_errors += sum(bin(d).count("1") for d in diff)
-        assert bits == n_blocks * n * sim.k
-        assert errors == total_errors
+            errors += sum(bin(d).count("1") for d in diff)
+            counted += 1
+    return errors, counted * n * sim.k
+
+
+class TestFastPathAgainstPublicOps:
+    """The simulator at float64 against the chain of per-block operations
+    with the same Philox draws: same bit errors, same bit count."""
+
+    def test_float64_simulator_matches_module_chain(self):
+        sim = harness.LinkSimulator(fast_cfg(dt=1.0, order=16), dtype=np.float64)
+        n_blocks = 4
+        errors, bits, _ = sim.run(0.02, n_blocks * 64 * sim.k, 99,
+                                  chunk_blocks=n_blocks + 1)
+        # one chunk: the warm-up block plus the counted ones
+        assert (errors, bits) == _module_chain(sim, 0.02, 99, [n_blocks + 1])
+        assert errors > 0
+
+    @pytest.mark.parametrize("fde_on", [True, False])
+    def test_float64_simulator_matches_module_chain_across_chunks(self, fde_on):
+        """Six counted blocks in chunks of four: the warm-up block, three
+        counted blocks, then a second chunk of three that continues the
+        first chunk's dispersion state and random stream."""
+        sim = harness.LinkSimulator(fast_cfg(dt=1.0, order=16, fde=fde_on),
+                                    dtype=np.float64)
+        errors, bits, censored = sim.run(0.02, 6 * 64 * sim.k, 5,
+                                         min_bit_errors=1 << 62, chunk_blocks=4)
+        assert (errors, bits) == _module_chain(sim, 0.02, 5, [4, 3])
+        assert errors > 0 and bits == 6 * 64 * sim.k and censored
+        assert sim.detected_rows == 6 * 64
+
+
+class TestBadCilMatrix:
+    """A bad G fails at construction with a typed error, before any draw."""
+
+    @pytest.mark.parametrize("g,error", [
+        (np.array([[1.0, 1.0, 0, 0], [1.0, 1.0, 0, 0], [0, 0, 1.0, 0],
+                   [0, 0, 0, 1.0]]), SingularMatrix),
+        (np.eye(3), DimensionMismatch),
+        (np.where(np.eye(4) == 1, np.nan, 0.0), SingularMatrix),
+        (chan.G_TLED, DimensionMismatch),
+    ])
+    def test_raises_before_the_draw_thread(self, g, error):
+        start = threading.active_count()
+        with pytest.raises(error):
+            harness.LinkSimulator(fast_cfg(), g_matrix=g)
+        assert threading.active_count() == start
 
 
 class TestFindPowerRequirement:

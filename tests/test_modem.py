@@ -1,4 +1,4 @@
-"""Modem tests: bit mapping, cyclic prefix framing, ML detection, demapping."""
+"""Modem tests: cyclic-prefix framing, ML detection, noiseless loopback."""
 
 import dataclasses
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cskfde import colorimetry as col
-from cskfde import modem
-from cskfde.errors import IndexOutOfRange, InvalidPrefix, LengthMismatch
+from cskfde import harness, modem
+from cskfde.errors import InvalidPrefix, LengthMismatch
 
 
 @pytest.fixture(scope="module")
@@ -20,72 +20,45 @@ def q16():
     return col.build_qled_constellation(16)
 
 
-class TestModulate:
-    def test_corner_b_label(self, q4):
-        """The all-zero label sits at grid corner B (blue LED only)."""
-        out = modem.modulate([0, 0], q4)
-        np.testing.assert_allclose(out, [[1, 0, 0, 0]], atol=1e-12)
-
-    def test_empty_bits(self, q4):
-        assert modem.modulate([], q4).shape == (0, 4)
-
-    def test_random_bits_yield_constellation_members(self, q16):
-        rng = np.random.default_rng(0)
-        bits = rng.integers(0, 2, 24)
-        out = modem.modulate(bits, q16)
-        assert out.shape == (6, 4)
-        table = {tuple(np.round(p, 12)) for p in q16.intensities}
-        for row in out:
-            assert tuple(np.round(row, 12)) in table
-
-    def test_length_mismatch(self, q16):
-        with pytest.raises(LengthMismatch):
-            modem.modulate([0, 1, 0], q16)
-
-
 class TestCyclicPrefix:
     def test_paper_vector_form(self):
         """N=4, L=2: payload [0,1,2,3] frames to [2,3,0,1,2,3]."""
-        payload = np.arange(4.0)[:, None]
-        framed = modem.add_cyclic_prefix(payload, 2)
-        np.testing.assert_array_equal(framed.data.ravel(), [2, 3, 0, 1, 2, 3])
-        np.testing.assert_array_equal(framed.prefix.ravel(), [2, 3])
+        payload = np.arange(4.0).reshape(1, 4, 1)
+        np.testing.assert_array_equal(modem.frame(payload, 2).ravel(),
+                                      [2, 3, 0, 1, 2, 3])
 
     def test_zero_prefix_is_identity(self):
-        payload = np.arange(8.0)[:, None]
-        framed = modem.add_cyclic_prefix(payload, 0)
-        np.testing.assert_array_equal(framed.data, payload)
+        payload = np.arange(16.0).reshape(2, 8, 1)
+        np.testing.assert_array_equal(modem.frame(payload, 0),
+                                      payload.reshape(16, 1))
 
     def test_default_frame_length(self):
-        payload = np.zeros((64, 4))
-        framed = modem.add_cyclic_prefix(payload, 8)
-        assert framed.data.shape == (72, 4)
+        assert modem.frame(np.zeros((3, 64, 4)), 8).shape == (3 * 72, 4)
 
     def test_prefix_longer_than_payload(self):
         with pytest.raises(InvalidPrefix):
-            modem.add_cyclic_prefix(np.zeros((4, 1)), 5)
+            modem.frame(np.zeros((1, 4, 1)), 5)
+
+    def test_negative_prefix(self):
+        with pytest.raises(InvalidPrefix):
+            modem.frame(np.zeros((1, 4, 1)), -1)
 
     def test_remove_inverts_add(self):
+        """The receiver's CP removal, the [:, cp:] slice, returns the blocks."""
         rng = np.random.default_rng(1)
-        payload = rng.random((16, 3))
-        framed = modem.add_cyclic_prefix(payload, 4)
-        np.testing.assert_array_equal(
-            modem.remove_cyclic_prefix(framed.data, 16, 4), payload)
+        payload = rng.random((3, 16, 3))
+        framed = modem.frame(payload, 4).reshape(3, 20, 3)
+        np.testing.assert_array_equal(framed[:, 4:], payload)
 
     def test_remove_drops_leading_samples(self):
-        framed = np.arange(72.0)[:, None]
-        out = modem.remove_cyclic_prefix(framed, 64, 8)
-        np.testing.assert_array_equal(out.ravel(), np.arange(8.0, 72.0))
-
-    def test_remove_length_contract(self):
-        with pytest.raises(LengthMismatch):
-            modem.remove_cyclic_prefix(np.zeros((71, 4)), 64, 8)
+        framed = modem.frame(np.arange(128.0).reshape(2, 64, 1), 8)
+        out = framed.reshape(2, 72)[:, 8:]
+        np.testing.assert_array_equal(out.ravel(), np.arange(128.0))
 
     def test_cp_structure_head_equals_tail(self):
         rng = np.random.default_rng(2)
-        payload = rng.random((64, 4))
-        framed = modem.add_cyclic_prefix(payload, 8)
-        np.testing.assert_array_equal(framed.data[:8], framed.data[-8:])
+        framed = modem.frame(rng.random((5, 64, 4)), 8).reshape(5, 72, 4)
+        np.testing.assert_array_equal(framed[:, :8], framed[:, -8:])
 
 
 class TestMlDetect:
@@ -127,59 +100,37 @@ class TestMlDetect:
             modem.ml_detect(np.zeros(3), q4)
 
 
-class TestDemap:
-    def test_single_symbol_label_lookup(self, q4):
-        idx = int(q4.index_of_label()[0b10])
-        np.testing.assert_array_equal(modem.demap([idx], q4), [1, 0])
-
-    def test_loopback_identity_channel(self, q16):
-        rng = np.random.default_rng(5)
-        bits = rng.integers(0, 2, 10_000)
-        idx = modem.bits_to_indices(bits, q16)
-        detected = modem.ml_detect(q16.intensities[idx], q16)
-        np.testing.assert_array_equal(modem.demap(detected, q16), bits)
-
-    def test_full_sweep_256(self):
-        c = col.build_qled_constellation(256)
-        recovered = modem.demap(np.arange(256), c)
-        labels = recovered.reshape(256, 8) @ (1 << np.arange(7, -1, -1))
-        assert sorted(labels.tolist()) == list(range(256))
-        np.testing.assert_array_equal(labels, c.labels)
-
-    def test_index_out_of_range(self, q4):
-        with pytest.raises(IndexOutOfRange):
-            modem.demap([4], q4)
+@pytest.mark.parametrize("order", [4, 64])
+def test_count_bit_errors_matches_bitwise_label_comparison(order):
+    """Screened count against detecting every row and comparing the sent
+    and detected labels bit by bit as strings."""
+    c = col.build_qled_constellation(order)
+    rng = np.random.default_rng(order)
+    sent_idx = rng.integers(0, order, size=2000)
+    sent = c.intensities[sent_idx]
+    # small pushes stay inside the trust radius, large ones leave it
+    rows = sent + rng.normal(size=sent.shape) * c.min_distance() * np.where(
+        rng.random((2000, 1)) < 0.5, 1e-3, 0.5)
+    ct, half_norms = modem.detection_metric(c)
+    errors, suspects = modem.count_bit_errors(
+        rows, sent, sent_idx, modem.trust_thresholds(c), ct, half_norms,
+        c.labels)
+    k = c.bits_per_symbol
+    detected = modem.ml_detect(rows, c)
+    expected = sum(a != b for i, j in zip(sent_idx, detected)
+                   for a, b in zip(f"{c.labels[i]:0{k}b}", f"{c.labels[j]:0{k}b}"))
+    assert errors == expected > 0
+    assert 0 < suspects < 2000
 
 
 @pytest.mark.parametrize("scheme,order", [("tled", 4), ("tled", 8), ("tled", 16),
                                           ("qled", 4), ("qled", 8), ("qled", 16),
                                           ("qled", 64), ("qled", 256)])
 def test_noiseless_frame_loopback(scheme, order):
-    """modulate -> frame -> unframe -> detect -> demap is bit exact."""
-    c = col.build_constellation(scheme, order)
-    rng = np.random.default_rng(order)
-    bits = rng.integers(0, 2, 64 * c.bits_per_symbol)
-    symbols = modem.modulate(bits, c)
-    framed = modem.add_cyclic_prefix(symbols, 8)
-    payload = modem.remove_cyclic_prefix(framed.data, 64, 8)
-    detected = modem.ml_detect(payload, c)
-    np.testing.assert_array_equal(modem.demap(detected, c), bits)
-
-
-class TestPadding:
-    def test_partial_block_padded_with_zero_label(self, q4):
-        bits = np.ones(10, dtype=np.int64) * 0  # 5 symbols
-        padded, n_pad = modem.pad_bits_to_block(bits, q4, 4)
-        assert n_pad == 6  # up to 8 symbols = 2 blocks
-        assert padded.size == 16
-        np.testing.assert_array_equal(padded[10:], 0)
-
-    def test_full_block_not_padded(self, q4):
-        bits = np.zeros(8, dtype=np.int64)
-        padded, n_pad = modem.pad_bits_to_block(bits, q4, 4)
-        assert n_pad == 0
-        np.testing.assert_array_equal(padded, bits)
-
-    def test_ragged_bits_rejected(self, q4):
-        with pytest.raises(LengthMismatch):
-            modem.pad_bits_to_block(np.zeros(3, dtype=np.int64), q4, 4)
+    """The noiseless link at Dt = 1 with FDE (map, frame, disperse, mix,
+    calibrate, strip the prefix, equalise, detect, count) is bit exact."""
+    cfg = harness.ExperimentConfig(scheme=scheme, order=order, dt=1.0, fde=True)
+    sim = harness.LinkSimulator(cfg)
+    n_bits = 8 * cfg.n * sim.k
+    errors, bits, _ = sim.run(0.0, n_bits, order)
+    assert (errors, bits) == (0, n_bits)
