@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 
@@ -27,28 +28,34 @@ class UsageError(Exception):
 
 
 def _add_link_flags(p: argparse.ArgumentParser) -> None:
+    d = harness.ExperimentConfig  # the defaults shown in the help
     p.add_argument("--scheme", choices=[colorimetry.TLED, colorimetry.QLED],
-                   help="CSK scheme (default qled)")
-    p.add_argument("--order", type=int, help="modulation order M")
-    p.add_argument("--dt", type=float, help="normalised delay spread D_rms/T_b")
+                   help=f"CSK scheme (default {d.scheme})")
+    p.add_argument("--order", type=int, help=f"modulation order M (default {d.order})")
+    p.add_argument("--dt", type=float,
+                   help=f"normalised delay spread D_rms/T_b (default {d.dt:g})")
     p.add_argument("--fde", choices=["on", "off"],
-                   help="frequency-domain equalisation (default on)")
-    p.add_argument("--n", type=int, help="FDE block length N (default 64)")
-    p.add_argument("--cp", type=int, help="cyclic prefix length L (default 8)")
-    p.add_argument("--rs", type=float, help="symbol rate in symbols/s (default 24e6)")
-    p.add_argument("--target-ber", type=float, help="target BER (default 1e-6)")
-    p.add_argument("--seed", type=int, help="master RNG seed (default 0)")
+                   help="frequency-domain equalisation "
+                        f"(default {'on' if d.fde else 'off'})")
+    p.add_argument("--n", type=int, help=f"FDE block length N (default {d.n})")
+    p.add_argument("--cp", type=int, help=f"cyclic prefix length L (default {d.cp})")
+    p.add_argument("--rs", dest="symbol_rate", metavar="RS", type=float,
+                   help=f"symbol rate in symbols/s (default {d.symbol_rate / 1e6:g}e6)")
+    p.add_argument("--target-ber", type=float,
+                   help=f"target BER (default {d.target_ber:g})")
+    p.add_argument("--seed", type=int, help=f"master RNG seed (default {d.seed})")
     p.add_argument("--config", help="YAML configuration file; flags override it")
     p.add_argument("--out", help="output CSV path (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    d = harness.ExperimentConfig
     parser = argparse.ArgumentParser(
         prog="cskfde",
         description="TLED/QLED colour-shift-keying link simulation with "
                     "cyclic-prefix block transmission and zero-forcing FDE "
-                    "over diffuse optical channels (defaults: N=64, L=8, "
-                    "Rs=24e6 symbols/s).")
+                    f"over diffuse optical channels (defaults: N={d.n}, "
+                    f"L={d.cp}, Rs={d.symbol_rate / 1e6:g}e6 symbols/s).")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ber-curve", help="measure BER over an SNR grid")
@@ -83,45 +90,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _experiment_config(args):
-    file_cfg = cfgmod.load_config(args.config) if args.config else {}
-    merged = cfgmod.merge(file_cfg, {
-        "scheme": args.scheme,
-        "order": args.order,
-        "dt": args.dt,
-        "fde": None if args.fde is None else args.fde == "on",
-        "n": args.n,
-        "cp": args.cp,
-        "symbol_rate": args.rs,
-        "target_ber": args.target_ber,
-        "seed": args.seed,
-    })
-    scheme = merged.get("scheme", colorimetry.QLED)
-    order = int(merged.get("order", 4))
-    cfg = harness.ExperimentConfig(
-        scheme=scheme,
-        order=order,
-        dt=float(merged.get("dt", 0.0)),
-        fde=bool(merged.get("fde", True)),
-        n=int(merged["n"]),
-        cp=int(merged["cp"]),
-        symbol_rate=float(merged["symbol_rate"]),
-        target_ber=float(merged["target_ber"]),
-        min_bit_errors=int(merged["min_bit_errors"]),
-        max_bits=int(merged["max_bits"]),
-        seed=int(merged["seed"]),
-        n_taps=int(merged["n_taps"]),
-    )
-    return cfg, file_cfg
+    """The run's ExperimentConfig and the file mapping; set flags win."""
+    file_cfg = {}
+    if args.config:
+        with open(args.config) as fh:
+            file_cfg = cfgmod.load_config(fh)
+    fde = None if args.fde is None else args.fde == "on"
+    return cfgmod.merge(file_cfg, {**vars(args), "fde": fde}), file_cfg
 
 
-def _link(file_cfg, scheme, order):
-    """(constellation, G) for one scheme and order, from the file or defaults."""
-    return (cfgmod.build_constellation_from_config(file_cfg, scheme, order),
-            cfgmod.g_matrix_from_config(file_cfg, scheme))
+def _link(file_cfg, cfg):
+    """The ``constellation`` and ``g_matrix`` arguments for ``cfg``'s link from
+    the file's sections; an absent section is the builder's or the
+    simulator's default."""
+    scheme = cfg.scheme
+    return {"constellation": colorimetry.build_constellation(
+                scheme, cfg.order, cfgmod.sources_from_config(file_cfg, scheme),
+                cfgmod.tled_tables_from_config(file_cfg)),
+            "g_matrix": cfgmod.g_matrix_from_config(file_cfg, scheme)}
 
 
-def _write_or_stdout(path, writer):
-    writer(path if path else sys.stdout)
+def _out(path):
+    """``path`` opened for writing, or the current sys.stdout, left open."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+
+
+def _write_requirements(args, requirements) -> int:
+    with _out(args.out) as fh:
+        harness.write_requirements_csv(fh, requirements)
+    if args.json:
+        with _out(args.json) as fh:
+            harness.write_requirements_json(fh, requirements)
+    return 0
 
 
 def _cmd_ber_curve(args) -> int:
@@ -134,47 +134,36 @@ def _cmd_ber_curve(args) -> int:
             lo, hi, step = (float(v) for v in args.snr_range.split(":"))
         except ValueError:
             raise UsageError("--snr-range must be lo:hi:step")
+        if not (np.isfinite([lo, hi, step]).all() and step > 0):
+            raise UsageError("--snr-range needs finite lo and hi and a step > 0")
         grid.extend(np.arange(lo, hi + 1e-9, step).tolist())
     if not grid:
         raise UsageError("ber-curve needs --snr or --snr-range")
-    constellation, g = _link(file_cfg, cfg.scheme, cfg.order)
-    curve = harness.run_ber_curve(cfg, sorted(grid), constellation=constellation,
-                                  g_matrix=g)
-    _write_or_stdout(args.out, lambda p: harness.write_curve_csv(p, curve))
+    curve = harness.run_ber_curve(cfg, sorted(grid), **_link(file_cfg, cfg))
+    with _out(args.out) as fh:
+        harness.write_curve_csv(fh, curve)
     return 0
 
 
 def _parse_entries(text):
+    """(scheme, order, dt, fde) per item; ExperimentConfig converts the rest."""
     entries = []
     for item in text.split(","):
         parts = item.strip().split(":")
-        if len(parts) != 4:
-            raise UsageError(f"bad entry {item!r}; want scheme:order:dt:fde")
-        scheme, order, dt, fde = parts
-        if scheme not in (colorimetry.TLED, colorimetry.QLED):
-            raise UsageError(f"unknown scheme {scheme!r}")
-        if fde not in ("fde", "none"):
-            raise UsageError(f"fde field must be 'fde' or 'none', got {fde!r}")
-        try:
-            entries.append((scheme, int(order), float(dt), fde == "fde"))
-        except ValueError:
-            raise UsageError(f"bad entry {item!r}")
+        if len(parts) != 4 or parts[3] not in ("fde", "none"):
+            raise UsageError(f"bad entry {item!r}; want scheme:order:dt:fde "
+                             "with fde 'fde' or 'none'")
+        entries.append((*parts[:3], parts[3] == "fde"))
     return entries
 
 
 def _cmd_table1(args) -> int:
     cfg, file_cfg = _experiment_config(args)
-    requirements = []
-    for scheme, order, dt, fde in _parse_entries(args.entries):
-        entry_cfg = replace(cfg, scheme=scheme, order=order, dt=dt, fde=fde)
-        constellation, g = _link(file_cfg, scheme, order)
-        requirements.append(harness.find_power_requirement(
-            entry_cfg, constellation=constellation, g_matrix=g))
-    _write_or_stdout(args.out,
-                     lambda p: harness.write_requirements_csv(p, requirements))
-    if args.json:
-        harness.write_requirements_json(args.json, requirements)
-    return 0
+    entry_cfgs = [replace(cfg, scheme=scheme, order=order, dt=dt, fde=fde)
+                  for scheme, order, dt, fde in _parse_entries(args.entries)]
+    requirements = [harness.find_power_requirement(c, **_link(file_cfg, c))
+                    for c in entry_cfgs]
+    return _write_requirements(args, requirements)
 
 
 def _cmd_power_vs_dt(args) -> int:
@@ -186,27 +175,21 @@ def _cmd_power_vs_dt(args) -> int:
             raise UsageError("--dt-list must be comma-separated numbers")
     else:
         dts = [0.01, 0.05, 0.1, 0.2, 0.5, 1.0]
-    constellation, g = _link(file_cfg, cfg.scheme, cfg.order)
-    requirements = harness.sweep_dt(cfg, dts, constellation=constellation,
-                                    g_matrix=g)
-    _write_or_stdout(args.out,
-                     lambda p: harness.write_requirements_csv(p, requirements))
-    if args.json:
-        harness.write_requirements_json(args.json, requirements)
-    return 0
+    requirements = harness.sweep_dt(cfg, dts, **_link(file_cfg, cfg))
+    return _write_requirements(args, requirements)
 
 
 def _cmd_constellation(args) -> int:
     cfg, file_cfg = _experiment_config(args)
-    constellation = cfgmod.build_constellation_from_config(
-        file_cfg, cfg.scheme, cfg.order)
-    _write_or_stdout(args.out, constellation.to_csv)
+    constellation = _link(file_cfg, cfg)["constellation"]
+    with _out(args.out) as fh:
+        constellation.to_csv(fh)
     return 0
 
 
 def _cmd_loopback_check(args) -> int:
     cfg, file_cfg = _experiment_config(args)
-    sim = harness.LinkSimulator(cfg, *_link(file_cfg, cfg.scheme, cfg.order))
+    sim = harness.LinkSimulator(cfg, **_link(file_cfg, cfg))
     errors, bits, _ = sim.run(0.0, args.bits, cfg.seed)
     print(f"loopback {cfg.scheme}-{cfg.order} dt={cfg.dt:g} "
           f"fde={'on' if cfg.fde else 'off'}: {errors} bit errors / {bits} bits")

@@ -293,22 +293,17 @@ class Constellation:
     def min_distance(self) -> float:
         return float(self.nearest_neighbour_distances.min())
 
-    def to_csv(self, path_or_file) -> None:
-        fh = path_or_file if hasattr(path_or_file, "write") else \
-            open(path_or_file, "w", newline="")
-        try:
-            writer = csv.writer(fh)
-            k = self.bits_per_symbol
-            writer.writerow(["label", "x", "y"] +
-                            [f"I_{i}" for i in range(self.n_bands)])
-            for i in range(self.order):
-                writer.writerow([format(int(self.labels[i]), f"0{k}b"),
-                                 f"{self.chromaticities[i, 0]:.9f}",
-                                 f"{self.chromaticities[i, 1]:.9f}"] +
-                                [f"{v:.9f}" for v in self.intensities[i]])
-        finally:
-            if fh is not path_or_file:
-                fh.close()
+    def to_csv(self, fh) -> None:
+        """Write label, x, y and the intensities to an open text file."""
+        writer = csv.writer(fh)
+        k = self.bits_per_symbol
+        writer.writerow(["label", "x", "y"] +
+                        [f"I_{i}" for i in range(self.n_bands)])
+        for i in range(self.order):
+            writer.writerow([format(int(self.labels[i]), f"0{k}b"),
+                             f"{self.chromaticities[i, 0]:.9f}",
+                             f"{self.chromaticities[i, 1]:.9f}"] +
+                            [f"{v:.9f}" for v in self.intensities[i]])
 
 
 # --- TLED symbol placement -------------------------------------------------
@@ -418,13 +413,12 @@ def build_qled_constellation(order: int, sources: SourceSet | None = None) -> Co
                          _qled_intensities(chroma, sources), sources)
 
 
-def build_constellation(scheme: str, order: int,
-                        tled_sources: SourceSet | None = None,
-                        qled_sources: SourceSet | None = None,
+def build_constellation(scheme: str, order: int, sources: SourceSet | None = None,
                         tled_tables=None) -> Constellation:
-    scheme = scheme.lower()
+    """The one scheme dispatch; ``tled_tables`` applies to TLED only, and
+    None keeps the builder's shipped sources or tables."""
     if scheme == TLED:
-        return build_tled_constellation(order, tled_sources, tled_tables)
+        return build_tled_constellation(order, sources, tled_tables)
     if scheme == QLED:
-        return build_qled_constellation(order, qled_sources)
+        return build_qled_constellation(order, sources)
     raise UnsupportedOrder(f"unknown scheme {scheme!r}")

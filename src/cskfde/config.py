@@ -1,61 +1,74 @@
 """YAML configuration: source chromaticities, constellation tables, CIL
-matrices and experiment defaults.  CLI flags override file values."""
+matrices and ExperimentConfig values.  CLI flags override file values; an
+absent value or section leaves the default of ExperimentConfig, of the
+constellation builders or of the simulator."""
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 import yaml
 
-from . import channel as chan
-from . import colorimetry
+from .colorimetry import QLED, TLED, SourceSet
 from .errors import InvalidConfig
+from .harness import ExperimentConfig
 
-DEFAULTS = {
-    "n": 64,
-    "cp": 8,
-    "symbol_rate": 24e6,
-    "target_ber": 1e-6,
-    "min_bit_errors": 100,
-    "max_bits": 200_000_000,
-    "seed": 0,
-    "n_taps": chan.DEFAULT_N_TAPS,
-}
+# the sections that describe the link, and the names each may hold
+_LINK_SECTIONS = {"sources": (TLED, QLED), "tables": (TLED,),
+                  "matrices": (f"g_{TLED}", f"g_{QLED}")}
+_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
-def load_config(path) -> dict:
-    with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
+def _check_keys(mapping: dict, accepted, where: str = "") -> None:
+    for key in mapping:
+        if key not in accepted:
+            raise InvalidConfig(f"unknown key {where + str(key)!r}; "
+                                f"accepted keys: {', '.join(accepted)}")
+
+
+def load_config(stream) -> dict:
+    """The top-level mapping of an open YAML text stream, with known keys only."""
+    try:
+        data = yaml.safe_load(stream) or {}
+    except yaml.YAMLError as exc:
+        raise InvalidConfig(f"not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
-        raise InvalidConfig(f"{path}: top level must be a mapping")
+        raise InvalidConfig("top level must be a mapping")
+    _check_keys(data, sorted(_FIELDS | set(_LINK_SECTIONS)))
+    for key, names in _LINK_SECTIONS.items():
+        section = data.get(key) or {}
+        if not isinstance(section, dict):
+            raise InvalidConfig(f"{key}: must be a mapping")
+        _check_keys(section, names, f"{key}.")
     return data
 
 
-def merge(config: dict, overrides: dict) -> dict:
-    """File values under CLI values: explicit flags win."""
-    out = dict(DEFAULTS)
-    out.update(config)
-    out.update({k: v for k, v in overrides.items() if v is not None})
-    return out
+def merge(config: dict, overrides: dict) -> ExperimentConfig:
+    """File values under the overrides that are set (not None); an override
+    that names no ExperimentConfig field, such as an output path, is skipped."""
+    values = {k: v for k, v in config.items() if k not in _LINK_SECTIONS}
+    values.update({k: v for k, v in overrides.items()
+                   if k in _FIELDS and v is not None})
+    return ExperimentConfig(**values)
 
 
 def sources_from_config(config: dict, scheme: str):
-    """Build a SourceSet from a ``sources`` mapping, or the shipped default."""
+    """A SourceSet from the ``sources.<scheme>`` list, or None if absent."""
     section = (config.get("sources") or {}).get(scheme)
     if section is None:
-        if scheme == colorimetry.TLED:
-            return colorimetry.default_tled_sources()
-        return colorimetry.default_qled_sources()
+        return None
     try:
         names = tuple(entry["name"] for entry in section)
         xy = np.array([entry["xy"] for entry in section], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"sources.{scheme}: need [{{name, xy: [x, y]}}, ...]") from exc
-    return colorimetry.SourceSet(names, xy)
+    return SourceSet(names, xy)
 
 
 def tled_tables_from_config(config: dict):
-    """Optional ``tables.tled`` override: {order: [[[r, y, b], label], ...]}."""
-    section = (config.get("tables") or {}).get("tled")
+    """The ``tables.tled`` override {order: [[[r, y, b], label], ...]}, or None."""
+    section = (config.get("tables") or {}).get(TLED)
     if section is None:
         return None
     tables = {}
@@ -63,24 +76,20 @@ def tled_tables_from_config(config: dict):
         for order, rows in section.items():
             tables[int(order)] = tuple(
                 (tuple(float(v) for v in row[0]), int(row[1])) for row in rows)
-    except (TypeError, ValueError, IndexError) as exc:
+    except (AttributeError, TypeError, ValueError, IndexError) as exc:
         raise InvalidConfig("tables.tled: need {order: [[[r,y,b], label], ...]}") from exc
     return tables
 
 
 def g_matrix_from_config(config: dict, scheme: str):
+    """The ``matrices.g_<scheme>`` CIL matrix, or None if absent."""
     section = (config.get("matrices") or {}).get(f"g_{scheme}")
     if section is None:
-        return chan.G_TLED if scheme == colorimetry.TLED else chan.G_QLED
-    g = np.array(section, dtype=float)
+        return None
+    try:
+        g = np.array(section, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"matrices.g_{scheme}: must be a square matrix") from exc
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise InvalidConfig(f"matrices.g_{scheme}: must be a square matrix")
     return g
-
-
-def build_constellation_from_config(config: dict, scheme: str, order: int):
-    sources = sources_from_config(config, scheme)
-    if scheme == colorimetry.TLED:
-        return colorimetry.build_tled_constellation(
-            order, sources, tled_tables_from_config(config))
-    return colorimetry.build_qled_constellation(order, sources)

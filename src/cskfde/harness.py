@@ -31,14 +31,14 @@ import json
 import queue
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 from scipy.special import erfcinv
 
 from . import channel as chan
 from . import colorimetry, fde, modem
-from .errors import InvalidParameter, InvalidTarget, UnsupportedOrder
+from .errors import InvalidConfig, InvalidParameter, InvalidTarget, UnsupportedOrder
 
 UNACHIEVABLE = "unachievable"
 
@@ -75,13 +75,6 @@ def ook_normalisation_db(target_ber: float) -> float:
     return 10.0 * np.log10(2.0 * qfunc_inv(target_ber))
 
 
-def data_rate(order: int, n: int = 64, cp: int = 8, symbol_rate: float = 24e6) -> float:
-    """Payload bit rate (N / (N + L)) * Rs * log2(M); cp = 0 gives the unframed rate."""
-    if order < 2 or n < 1 or cp < 0 or symbol_rate <= 0:
-        raise InvalidParameter("invalid rate parameters")
-    return (n / (n + cp)) * symbol_rate * np.log2(order)
-
-
 def wilson_interval(errors: int, trials: int, z: float = 1.96):
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
@@ -95,7 +88,8 @@ def wilson_interval(errors: int, trials: int, z: float = 1.96):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One simulated link configuration."""
+    """One simulated link configuration, and the one owner of each field's
+    default, type and normal form (:func:`_as_type`)."""
 
     scheme: str = colorimetry.QLED
     order: int = 4
@@ -111,14 +105,15 @@ class ExperimentConfig:
     n_taps: int = chan.DEFAULT_N_TAPS
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            object.__setattr__(self, name, _as_type(name, kind, getattr(self, name)))
         orders = {colorimetry.TLED: colorimetry.TLED_ORDERS,
-                  colorimetry.QLED: colorimetry.QLED_ORDERS}
-        scheme = str(self.scheme).lower()
-        if scheme not in orders:
+                  colorimetry.QLED: colorimetry.QLED_ORDERS}.get(self.scheme)
+        if orders is None:
             raise UnsupportedOrder(f"unknown scheme {self.scheme!r}")
-        if self.order not in orders[scheme]:
+        if self.order not in orders:
             raise UnsupportedOrder(
-                f"{scheme} supports M in {orders[scheme]}, got {self.order}")
+                f"{self.scheme} supports M in {orders}, got {self.order}")
         if not (np.isfinite(self.dt) and self.dt >= 0):
             raise InvalidParameter(f"Dt must be finite and >= 0, got {self.dt}")
         if not 0.0 < self.target_ber < 0.5:
@@ -130,6 +125,35 @@ class ExperimentConfig:
                 f"cyclic prefix {self.cp} shorter than channel memory {memory}")
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise InvalidParameter(f"N must be a power of two, got {self.n}")
+        if not 0 <= self.seed < 1 << 64:  # a Philox key word is a uint64
+            raise InvalidParameter(f"seed must be in [0, 2**64), got {self.seed}")
+
+
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+
+
+def _as_type(name: str, kind: type, value):
+    """``value`` as ``kind`` without loss, or InvalidConfig naming the field:
+    a bool field takes only a bool, a number field no bool and an int field
+    a float only when it is whole; the scheme string is lower-cased."""
+    is_bool = isinstance(value, (bool, np.bool_))
+    try:
+        if kind is str and isinstance(value, str):
+            return value.lower()
+        if kind is not str and (kind is bool) == is_bool and (
+                kind is not int or int(value) == float(value)):
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidConfig(f"{name}: expected {kind.__name__}, got {value!r}")
+
+
+def data_rate(order: int, n: int = ExperimentConfig.n, cp: int = ExperimentConfig.cp,
+              symbol_rate: float = ExperimentConfig.symbol_rate) -> float:
+    """Payload bit rate (N / (N + L)) * Rs * log2(M); cp = 0 gives the unframed rate."""
+    if order < 2 or n < 1 or cp < 0 or symbol_rate <= 0:
+        raise InvalidParameter("invalid rate parameters")
+    return (n / (n + cp)) * symbol_rate * np.log2(order)
 
 
 @dataclass(frozen=True)
@@ -323,6 +347,8 @@ class LinkSimulator:
         self.g = np.asarray(g_matrix, dtype=dtype)
         self.taps = chan.discretize_impulse_response(
             config.dt, config.order, config.symbol_rate, config.n_taps).astype(dtype)
+        # subnormal taps make the convolution several times slower; zero them
+        self.taps[self.taps < np.finfo(dtype).tiny] = 0
         self.points = self.constellation.intensities.astype(dtype)
         self.ct, self.half_norms = modem.detection_metric(self.constellation, dtype)
         self.trust_sq = modem.trust_thresholds(self.constellation, dtype)
@@ -475,7 +501,7 @@ def sweep_dt(config: ExperimentConfig, dt_values: Sequence[float],
     """One bisected PowerRequirement per normalised delay spread."""
     out = []
     for dt in dt_values:
-        cfg = replace(config, dt=float(dt))
+        cfg = replace(config, dt=dt)
         out.append(find_power_requirement(cfg, target_ber, snr_hi=snr_hi,
                                           constellation=constellation,
                                           g_matrix=g_matrix))
@@ -484,47 +510,31 @@ def sweep_dt(config: ExperimentConfig, dt_values: Sequence[float],
 
 # --- result serialisation ---------------------------------------------------
 
-def _open_out(path_or_file):
-    if hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, "w", newline=""), True
-
-
-def write_curve_csv(path, curves) -> None:
+def write_curve_csv(fh, curves) -> None:
     """One row per measured point: scheme, M, Dt, fde, snr_db, ber, bits, errors."""
     if isinstance(curves, BerCurve):
         curves = [curves]
-    fh, close = _open_out(path)
-    try:
-        w = csv.writer(fh)
-        w.writerow(["scheme", "order", "dt", "fde", "snr_o_db", "ber",
-                    "bits", "errors", "censored"])
-        for curve in curves:
-            c = curve.config
-            for p in curve.points:
-                w.writerow([c.scheme, c.order, f"{c.dt:g}", int(c.fde),
-                            f"{p.snr_o_db:.4f}", f"{p.ber:.6e}",
-                            p.bits, p.errors, int(p.censored)])
-    finally:
-        if close:
-            fh.close()
-
-
-def write_requirements_csv(path, requirements) -> None:
-    fh, close = _open_out(path)
-    try:
-        w = csv.writer(fh)
-        w.writerow(["scheme", "order", "dt", "fde", "target_ber",
-                    "requirement_db", "snr_o_db", "bracket_db"])
-        for r in requirements:
-            c = r.config
+    w = csv.writer(fh)
+    w.writerow(["scheme", "order", "dt", "fde", "snr_o_db", "ber",
+                "bits", "errors", "censored"])
+    for curve in curves:
+        c = curve.config
+        for p in curve.points:
             w.writerow([c.scheme, c.order, f"{c.dt:g}", int(c.fde),
-                        f"{r.target_ber:g}", r.as_table_value,
-                        "" if r.snr_o_db is None else f"{r.snr_o_db:.3f}",
-                        "" if not np.isfinite(r.bracket_db) else f"{r.bracket_db:.3f}"])
-    finally:
-        if close:
-            fh.close()
+                        f"{p.snr_o_db:.4f}", f"{p.ber:.6e}",
+                        p.bits, p.errors, int(p.censored)])
+
+
+def write_requirements_csv(fh, requirements) -> None:
+    w = csv.writer(fh)
+    w.writerow(["scheme", "order", "dt", "fde", "target_ber",
+                "requirement_db", "snr_o_db", "bracket_db"])
+    for r in requirements:
+        c = r.config
+        w.writerow([c.scheme, c.order, f"{c.dt:g}", int(c.fde),
+                    f"{r.target_ber:g}", r.as_table_value,
+                    "" if r.snr_o_db is None else f"{r.snr_o_db:.3f}",
+                    "" if not np.isfinite(r.bracket_db) else f"{r.bracket_db:.3f}"])
 
 
 def requirements_summary(requirements) -> dict:
@@ -545,7 +555,6 @@ def requirements_summary(requirements) -> dict:
             "entries": entries}
 
 
-def write_requirements_json(path, requirements) -> None:
-    with open(path, "w") as fh:
-        json.dump(requirements_summary(requirements), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_requirements_json(fh, requirements) -> None:
+    json.dump(requirements_summary(requirements), fh, indent=2, sort_keys=True)
+    fh.write("\n")

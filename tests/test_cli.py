@@ -1,11 +1,14 @@
 """CLI tests: parsing, exit codes, file outputs, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
 import yaml
 
 from cskfde import cli, harness
+from cskfde import colorimetry as col
 from cskfde import config as cfgmod
 
 
@@ -49,6 +52,9 @@ class TestParsing:
         ["--scheme", "tled", "--order", "64"],
         ["--dt", "-1"],
         ["--target-ber", "0.7"],
+        ["--seed", "-1"],
+        ["--rs", "0"],
+        ["--seed", str(1 << 64)],
     ])
     def test_invalid_config_exits_2(self, flags, capsys):
         assert cli.run(["ber-curve", "--snr", "10"] + flags) == 2
@@ -56,6 +62,12 @@ class TestParsing:
 
     def test_ber_curve_needs_grid(self):
         assert cli.run(["ber-curve", "--scheme", "qled", "--order", "4"]) == 2
+
+    @pytest.mark.parametrize("grid", ["10:20:0", "10:20:-1", "10:nan:1",
+                                      "-inf:20:1", "10:20:inf"])
+    def test_bad_snr_range_is_a_usage_error(self, grid, capsys):
+        assert cli.run(["ber-curve", f"--snr-range={grid}"]) == 2
+        assert "usage error: --snr-range" in capsys.readouterr().err
 
 
 class TestConstellationCommand:
@@ -144,13 +156,16 @@ class TestBerCurveCommand:
                                        seed=3)
         curve = harness.run_ber_curve(
             cfg, [5.0, 7.0, 9.0],
-            constellation=cfgmod.build_constellation_from_config(file_cfg, "qled", 4),
+            constellation=col.build_constellation(
+                "qled", 4, cfgmod.sources_from_config(file_cfg, "qled")),
             g_matrix=cfgmod.g_matrix_from_config(file_cfg, "qled"))
         lib = tmp_path / "lib.csv"
-        harness.write_curve_csv(lib, curve)
+        with open(lib, "w", newline="") as fh:
+            harness.write_curve_csv(fh, curve)
         assert out.read_bytes() == lib.read_bytes()
         default = tmp_path / "default.csv"
-        harness.write_curve_csv(default, harness.run_ber_curve(cfg, [5.0, 7.0, 9.0]))
+        with open(default, "w", newline="") as fh:
+            harness.write_curve_csv(fh, harness.run_ber_curve(cfg, [5.0, 7.0, 9.0]))
         assert default.read_bytes() != lib.read_bytes()
 
 
@@ -206,3 +221,72 @@ class TestConfigPrecedence:
                         "--config", str(cfg), "--out", str(out)])
         assert code == 0
         assert "0.500000000" in out.read_text()
+
+
+def _write_config(tmp_path, text):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    return str(path)
+
+
+class TestConfigValues:
+    """ExperimentConfig converts file values; a bad or unknown key exits 2."""
+
+    def test_upper_case_scheme_runs_that_scheme(self, tmp_path, capsys):
+        path = _write_config(tmp_path, "scheme: TLED\n")
+        assert cli.run(["constellation", "--config", path]) == 0
+        assert capsys.readouterr().out.startswith("label,x,y,I_0,I_1,I_2\r\n")
+        assert cli.run(["loopback-check", "--config", path, "--bits", "4096"]) == 0
+        assert capsys.readouterr().out.startswith("loopback tled-4 ")
+
+    @pytest.mark.parametrize("text,message", [
+        ('fde: "off"\n', "fde: expected bool, got 'off'"),
+        ("max_bits: 2e8\n", "max_bits: expected int, got '2e8'"),
+        ("n: [1, 2]\n", "n: expected int, got [1, 2]"),
+        ("order: 4.5\n", "order: expected int, got 4.5"),
+        ("seed: true\n", "seed: expected int, got True"),
+        ("dt: [0.1]\n", "dt: expected float, got [0.1]"),
+        ("max_bit: 1000\n", "unknown key 'max_bit'"),
+        ("sources: [1, 2]\n", "sources: must be a mapping"),
+        ("sources: {QLED: []}\n", "unknown key 'sources.QLED'"),
+        ("matrices: {g_qeld: [[1]]}\n", "unknown key 'matrices.g_qeld'"),
+        ("matrices: {g_qled: [[1, 0], [0]]}\n", "matrices.g_qled: must be"),
+        ("[1, 2]\n", "top level must be a mapping"),
+        ("scheme: [\n", "not valid YAML"),
+    ])
+    def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, text,
+                                              message):
+        path = _write_config(tmp_path, text)
+        assert cli.run(["constellation", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: InvalidConfig: {message}")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_unknown_key_error_lists_the_accepted_keys(self, tmp_path, capsys):
+        path = _write_config(tmp_path, "max_bit: 1000\n")
+        assert cli.run(["constellation", "--config", path]) == 2
+        err = capsys.readouterr().err
+        for key in ["max_bits", "min_bit_errors", "sources", "tables", "matrices"]:
+            assert key in err
+
+    def test_whole_float_and_exponent_values_convert(self, tmp_path, capsys):
+        path = _write_config(tmp_path, "order: 16.0\ntarget_ber: 1e-3\n"
+                                       "fde: false\nmax_bits: 2.0e+8\n")
+        assert cli.run(["loopback-check", "--config", path, "--bits", "4096"]) == 0
+        assert capsys.readouterr().out.startswith("loopback qled-16 dt=0 fde=off:")
+
+    def test_table1_entry_scheme_is_normalised(self, capsys, fast_config):
+        assert cli.run(["table1", "--entries", "QLED:4:0:fde",
+                        "--config", fast_config]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("qled,4,0,1,")
+
+
+class TestOutputTarget:
+    def test_stdout_is_looked_up_at_call_time(self):
+        """``contextlib.redirect_stdout`` swaps sys.stdout after import."""
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.run(["constellation", "--scheme", "qled", "--order", "4"]) == 0
+        assert buf.getvalue().startswith("label,x,y,I_0,I_1,I_2,I_3")
+        assert not buf.closed

@@ -162,7 +162,8 @@ def test_duplicated_point_is_never_trusted():
     file_cfg = {"tables": {"tled": {4: [
         [[1.0, 0.0, 0.0], 1], [[0.0, 1.0, 0.0], 2],
         [[0.0, 0.0, 1.0], 3], [[0.0, 0.0, 1.0], 0]]}}}
-    constellation = cfgmod.build_constellation_from_config(file_cfg, "tled", 4)
+    constellation = col.build_tled_constellation(
+        4, tables=cfgmod.tled_tables_from_config(file_cfg))
     assert constellation.min_distance() == 0.0
     trust = modem.trust_thresholds(constellation, np.float32)
     assert trust[2] == trust[3] == 0.0 and (trust[:2] > 0).all()
@@ -176,7 +177,8 @@ def test_points_closer_than_the_float_bound_are_not_trusted():
     file_cfg = {"tables": {"tled": {4: [
         [[1.0, 0.0, 0.0], 1], [[0.0, 1.0, 0.0], 2],
         [[0.0, 0.0, 1.0], 3], [[0.0, 1e-4, 1.0 - 1e-4], 0]]}}}
-    constellation = cfgmod.build_constellation_from_config(file_cfg, "tled", 4)
+    constellation = col.build_tled_constellation(
+        4, tables=cfgmod.tled_tables_from_config(file_cfg))
     single = modem.trust_thresholds(constellation, np.float32)
     assert single[2] == single[3] == 0.0 and (single[:2] > 0).all()
     assert (modem.trust_thresholds(constellation, np.float64) > 0).all()

@@ -13,6 +13,7 @@ from cskfde import colorimetry as col
 from cskfde import fde, harness, modem
 from cskfde.errors import (
     DimensionMismatch,
+    InvalidConfig,
     InvalidParameter,
     InvalidTarget,
     SingularMatrix,
@@ -85,6 +86,8 @@ class TestExperimentConfigValidation:
         ({"target_ber": 0.0}, InvalidTarget),
         ({"target_ber": 0.5}, InvalidTarget),
         ({"target_ber": float("nan")}, InvalidTarget),
+        ({"seed": -1}, InvalidParameter),
+        ({"seed": 1 << 64}, InvalidParameter),
     ])
     def test_rejected_at_construction(self, kw, error):
         with pytest.raises(error):
@@ -93,6 +96,36 @@ class TestExperimentConfigValidation:
     def test_valid_edges_accepted(self):
         harness.ExperimentConfig(scheme="tled", order=16, dt=0.0, target_ber=0.49)
         harness.ExperimentConfig(scheme="QLED", order=4096, dt=1.0)
+
+    def test_scheme_is_stored_lower_case(self):
+        assert harness.ExperimentConfig(scheme="TLED").scheme == "tled"
+        cfg = harness.ExperimentConfig(scheme="Qled", order=16)
+        assert cfg.scheme == "qled"
+        assert harness.LinkSimulator(cfg).constellation.scheme == "qled"
+
+    @pytest.mark.parametrize("kw,field", [
+        ({"fde": "off"}, "fde"),
+        ({"fde": 1}, "fde"),
+        ({"max_bits": "2e8"}, "max_bits"),
+        ({"n": [1, 2]}, "n"),
+        ({"order": 4.5}, "order"),
+        ({"order": True}, "order"),
+        ({"seed": None}, "seed"),
+        ({"dt": "x"}, "dt"),
+        ({"dt": False}, "dt"),
+        ({"scheme": 4}, "scheme"),
+    ])
+    def test_wrong_type_names_the_field(self, kw, field):
+        with pytest.raises(InvalidConfig, match=f"^{field}: expected "):
+            harness.ExperimentConfig(**kw)
+
+    def test_values_are_converted_to_the_field_type(self):
+        cfg = harness.ExperimentConfig(order=np.int64(16), n=64.0, dt=np.float32(0.5),
+                                       target_ber="1e-3", fde=np.bool_(False))
+        assert (cfg.order, cfg.n, cfg.dt, cfg.target_ber, cfg.fde) == (16, 64, 0.5,
+                                                                       1e-3, False)
+        assert [type(v) for v in (cfg.order, cfg.n, cfg.dt, cfg.target_ber,
+                                  cfg.fde)] == [int, int, float, float, bool]
 
 
 def fast_cfg(**kw):
@@ -203,6 +236,30 @@ class TestFastPathAgainstPublicOps:
         assert sim.detected_rows == 6 * 64
 
 
+@pytest.mark.parametrize("fde_on", [True, False])
+@pytest.mark.parametrize("scheme,order,dt", [("qled", 64, 0.1), ("tled", 16, 0.1),
+                                             ("qled", 4, 0.01)])
+def test_subnormal_taps_are_zeroed_without_changing_results(scheme, order, dt,
+                                                            fde_on):
+    """The simulator zeroes float32-subnormal taps; runs with the subnormal
+    taps kept give the same errors, bits and suspect rows."""
+    cfg = fast_cfg(scheme=scheme, order=order, dt=dt, fde=fde_on)
+    tiny = np.finfo(np.float32).tiny
+    exact = chan.discretize_impulse_response(dt, order, cfg.symbol_rate).astype(
+        np.float32)
+    assert ((exact > 0) & (exact < tiny)).any()
+    sim = harness.LinkSimulator(cfg)
+    assert np.array_equal(sim.taps, np.where(exact < tiny, 0, exact))
+    kept = harness.LinkSimulator(cfg)
+    kept.taps = exact
+    for seed, snr in enumerate([4.0, 10.0, 16.0, None]):
+        sigma = 0.0 if snr is None else harness.sigma_from_snr(snr)
+        args = (sigma, 200 * 64 * sim.k, seed)
+        assert sim.run(*args, chunk_blocks=64) == kept.run(*args, chunk_blocks=64)
+    assert (sim.detected_rows, sim.suspect_rows) == (kept.detected_rows,
+                                                     kept.suspect_rows)
+
+
 class TestBadCilMatrix:
     """A bad G fails at construction with a typed error, before any draw."""
 
@@ -275,7 +332,8 @@ class TestBerCurve:
         curve = harness.run_ber_curve(cfg, [6.0, 8.0, 10.0])
         assert curve.is_monotone_non_increasing()
         out = tmp_path / "curve.csv"
-        harness.write_curve_csv(out, curve)
+        with open(out, "w", newline="") as fh:
+            harness.write_curve_csv(fh, curve)
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("scheme,order,dt,fde,snr_o_db")
         assert len(lines) == 4
@@ -285,8 +343,10 @@ class TestBerCurve:
         reqs = [harness.find_power_requirement(cfg)]
         csv_path = tmp_path / "req.csv"
         json_path = tmp_path / "req.json"
-        harness.write_requirements_csv(csv_path, reqs)
-        harness.write_requirements_json(json_path, reqs)
+        with open(csv_path, "w", newline="") as fh:
+            harness.write_requirements_csv(fh, reqs)
+        with open(json_path, "w") as fh:
+            harness.write_requirements_json(fh, reqs)
         assert "qled" in csv_path.read_text()
         import json
         data = json.loads(json_path.read_text())
