@@ -21,12 +21,9 @@ from .colorimetry import (
     build_tled_constellation,
     default_qled_sources,
     default_tled_sources,
-    intensity_from_chromaticity,
-    select_qled_triad,
 )
 from .fde import build_zfe, dft, equalize, equalize_block, idft
 from .harness import (
-    UNACHIEVABLE,
     BerCurve,
     BerPoint,
     ExperimentConfig,

@@ -22,16 +22,18 @@ G_QLED = np.array([[0.200, 0.003, 0.0,   0.0],
                    [0.0,   0.002, 0.255, 0.0],
                    [0.0,   0.0,   0.030, 0.271]])
 
-DEFAULT_N_TAPS = 8
+# Length of the discretised impulse response; a dispersive channel's memory
+# is N_TAPS - 1 symbols, which the cyclic prefix must cover.
+N_TAPS = 8
 
 
-def discretize_impulse_response(dt: float, order: int, symbol_rate: float,
-                                n_taps: int = DEFAULT_N_TAPS) -> np.ndarray:
+def discretize_impulse_response(dt: float, order: int,
+                                symbol_rate: float) -> np.ndarray:
     """Symbol-spaced taps of the exponential-decay impulse response.
 
     ``dt`` is the rms delay spread normalised to the bit duration
     (D_rms / T_b with D_rms = tau / 2), so tau = 2 * dt * T_b and the taps
-    follow h[k] proportional to exp(-k * Ts / tau), truncated to ``n_taps``
+    follow h[k] proportional to exp(-k * Ts / tau), truncated to ``N_TAPS``
     and renormalised to unit sum.  dt = 0 collapses to the identity channel.
     """
     if order < 2:
@@ -40,38 +42,27 @@ def discretize_impulse_response(dt: float, order: int, symbol_rate: float,
         raise InvalidParameter(f"symbol rate must be positive, got {symbol_rate}")
     if dt < 0:
         raise InvalidParameter(f"normalised delay spread must be >= 0, got {dt}")
-    if n_taps < 1:
-        raise InvalidParameter(f"need at least one tap, got {n_taps}")
-    taps = np.zeros(n_taps)
+    taps = np.zeros(N_TAPS)
     if dt == 0:
         taps[0] = 1.0
         return taps
     k = np.log2(order)
     ts_over_tau = k / (2.0 * dt)  # Ts / tau with tau = 2 dt Tb, Tb = Ts / k
-    taps = np.exp(-np.arange(n_taps) * ts_over_tau)
+    taps = np.exp(-np.arange(N_TAPS) * ts_over_tau)
     return taps / taps.sum()
 
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Discretised diffuse channel for one (dt, M, Rs) operating point."""
+    """Discretised diffuse channel: the symbol-spaced dispersion taps."""
 
-    dt: float
     taps: np.ndarray
-    ts: float
-    tb: float
 
     @classmethod
-    def from_parameters(cls, dt: float, order: int, symbol_rate: float,
-                        n_taps: int = DEFAULT_N_TAPS) -> "ChannelModel":
-        taps = discretize_impulse_response(dt, order, symbol_rate, n_taps)
-        ts = 1.0 / symbol_rate
-        tb = ts / np.log2(order)
-        return cls(dt, taps, ts, tb)
-
-    @property
-    def tau(self) -> float:
-        return 2.0 * self.dt * self.tb
+    def from_parameters(cls, dt: float, order: int,
+                        symbol_rate: float) -> "ChannelModel":
+        """The channel of one (dt, M, Rs) operating point."""
+        return cls(discretize_impulse_response(dt, order, symbol_rate))
 
 
 @dataclass(frozen=True)
@@ -83,12 +74,6 @@ class NoiseModel:
     def __post_init__(self):
         if self.sigma < 0:
             raise InvalidParameter(f"noise deviation must be >= 0, got {self.sigma}")
-
-    @classmethod
-    def from_psd(cls, no: float) -> "NoiseModel":
-        if no < 0:
-            raise InvalidParameter(f"noise PSD must be >= 0, got {no}")
-        return cls(np.sqrt(no / 2.0))
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -153,7 +138,10 @@ def apply_channel(tx: np.ndarray, model: ChannelModel, g_matrix: np.ndarray,
     rx = dispersed @ g_matrix.T
     if noise.sigma > 0:
         gen = rng if rng is not None else make_rng(seed)
-        rx = rx + gen.normal(0.0, noise.sigma, size=rx.shape)
+        # the simulator's noise expression, sigma * standard_normal
+        draw = gen.standard_normal(rx.shape)
+        draw *= noise.sigma
+        rx += draw
     return rx, zf
 
 

@@ -147,29 +147,10 @@ def _mix_intensities(targets, triads_xy) -> np.ndarray:
     return intensities / intensities.sum(axis=1, keepdims=True)
 
 
-def _target_row(target) -> np.ndarray:
-    return np.array([[float(target[0]), float(target[1])]])
-
-
-def intensity_from_chromaticity(target, triad_xy) -> np.ndarray:
-    """Solve the 3x3 chromaticity-to-intensity mixing system.
-
-    Returns the LED intensity fractions (sum 1) reproducing ``target`` from
-    the three sources ``triad_xy``.  Raises SingularTriad for collinear
-    sources and OutsideGamut when the target needs a negative intensity.
-    """
-    row = _target_row(target)
-    xy = np.asarray(triad_xy, dtype=float)
-    if xy.shape != (3, 2):
-        raise DimensionMismatch("triad must contain exactly three sources")
-    return _mix_intensities(row, xy[None])[0]
-
-
-# Sub-quadrilateral identifiers in tie-break priority order.  The gamut
-# quadrilateral BCYR is split by its edge midpoints p, q, r, s and the
-# diagonal crossing o; each sub-quadrilateral holds one corner and is covered
-# by the triangle of that corner and its two neighbours.
-SUB_QUAD_NAMES = ("pbqo", "oqcr", "sord", "apos")
+# The gamut quadrilateral BCYR is split by its edge midpoints p, q, r, s and
+# the diagonal crossing o into the sub-quadrilaterals pbqo, oqcr, sord and
+# apos (ids 0-3, the tie-break priority order); each holds one corner and is
+# covered by the triangle of that corner and its two neighbours.
 _SUB_QUAD_TRIADS = ((0, 1, 2),   # pbqo, corner C: B C Y
                     (1, 2, 3),   # oqcr, corner Y: C Y R
                     (2, 3, 0),   # sord, corner R: Y R B
@@ -201,7 +182,7 @@ def _in_quad(quad, pts, eps=_GAMUT_EPS) -> np.ndarray:
 
 
 def _sub_quad_ids(pts, sources: SourceSet) -> np.ndarray:
-    """Sub-quadrilateral id (into SUB_QUAD_NAMES) of each (M, 2) point.
+    """Sub-quadrilateral id (0-3, pbqo to apos) of each (M, 2) point.
 
     Boundary ties resolve to the lowest id.
     """
@@ -234,21 +215,6 @@ def _qled_intensities(pts, sources: SourceSet) -> np.ndarray:
     out = np.zeros((len(pts), 4))
     np.put_along_axis(out, triads, part / part.sum(axis=1, keepdims=True), axis=1)
     return out
-
-
-def select_qled_triad(target, sources: SourceSet):
-    """Pick the three QLED LEDs that mix ``target``.
-
-    Returns ``(sub_quad_id, triad_indices)`` where ``sub_quad_id`` indexes
-    SUB_QUAD_NAMES.  Boundary ties resolve to the lowest id.
-    """
-    sid = int(_sub_quad_ids(_target_row(target), sources)[0])
-    return sid, _SUB_QUAD_TRIADS[sid]
-
-
-def qled_intensity(target, sources: SourceSet) -> np.ndarray:
-    """Four-entry intensity vector for a QLED symbol (at most 3 LEDs lit)."""
-    return _qled_intensities(_target_row(target), sources)[0]
 
 
 @dataclass(frozen=True)
@@ -289,9 +255,6 @@ class Constellation:
         nearest = dist[:, 1]
         nearest.setflags(write=False)
         return nearest
-
-    def min_distance(self) -> float:
-        return float(self.nearest_neighbour_distances.min())
 
     def to_csv(self, fh) -> None:
         """Write label, x, y and the intensities to an open text file."""

@@ -40,8 +40,6 @@ from . import channel as chan
 from . import colorimetry, fde, modem
 from .errors import InvalidConfig, InvalidParameter, InvalidTarget, UnsupportedOrder
 
-UNACHIEVABLE = "unachievable"
-
 # The draw thread fills each chunk in slices of this many blocks and looks
 # for a stop request between slices.
 _SLICE_BLOCKS = 512
@@ -102,7 +100,6 @@ class ExperimentConfig:
     min_bit_errors: int = 100
     max_bits: int = 200_000_000
     seed: int = 0
-    n_taps: int = chan.DEFAULT_N_TAPS
 
     def __post_init__(self):
         for name, kind in _FIELD_TYPES.items():
@@ -119,7 +116,11 @@ class ExperimentConfig:
         if not 0.0 < self.target_ber < 0.5:
             raise InvalidTarget(
                 f"target BER must be in (0, 0.5), got {self.target_ber}")
-        memory = self.n_taps - 1 if self.dt > 0 else 0
+        for name in ("min_bit_errors", "max_bits"):
+            value = getattr(self, name)
+            if value < 1:
+                raise InvalidParameter(f"{name} must be >= 1, got {value}")
+        memory = chan.N_TAPS - 1 if self.dt > 0 else 0
         if self.cp < memory:
             raise InvalidParameter(
                 f"cyclic prefix {self.cp} shorter than channel memory {memory}")
@@ -188,7 +189,6 @@ class BerCurve:
 @dataclass(frozen=True)
 class PowerRequirement:
     config: ExperimentConfig
-    target_ber: float
     achievable: bool
     snr_o_db: Optional[float]        # absolute bisected threshold
     requirement_db: Optional[float]  # relative to the OOK reference
@@ -346,7 +346,7 @@ class LinkSimulator:
         self.g_inv = chan.cil_inverse(g_matrix, self.n_bands).astype(dtype)
         self.g = np.asarray(g_matrix, dtype=dtype)
         self.taps = chan.discretize_impulse_response(
-            config.dt, config.order, config.symbol_rate, config.n_taps).astype(dtype)
+            config.dt, config.order, config.symbol_rate).astype(dtype)
         # subnormal taps make the convolution several times slower; zero them
         self.taps[self.taps < np.finfo(dtype).tiny] = 0
         self.points = self.constellation.intensities.astype(dtype)
@@ -452,19 +452,17 @@ def run_ber_curve(config: ExperimentConfig, snr_grid: Sequence[float],
     return curve
 
 
-def find_power_requirement(config: ExperimentConfig, target_ber: Optional[float] = None,
+def find_power_requirement(config: ExperimentConfig,
                            snr_lo: float = 0.0, snr_hi: float = 40.0,
                            bracket_db: float = 0.1,
                            constellation=None, g_matrix=None) -> PowerRequirement:
-    """Bisect the optical SNR threshold reaching ``target_ber``.
+    """Bisect the optical SNR threshold reaching ``config.target_ber``.
 
     If the BER at ``snr_hi`` still exceeds the target the requirement is
     reported unachievable (the irreducible-floor case).  The result is the
     threshold in dB relative to the OOK reference at the same noise level.
     """
-    target = config.target_ber if target_ber is None else target_ber
-    if not 0.0 < target < 0.5:
-        raise InvalidTarget(f"target BER must be in (0, 0.5), got {target}")
+    target = config.target_ber
     if snr_lo >= snr_hi:
         raise InvalidParameter("snr_lo must be below snr_hi")
     sim = LinkSimulator(config, constellation, g_matrix)
@@ -477,7 +475,7 @@ def find_power_requirement(config: ExperimentConfig, target_ber: Optional[float]
 
     top = measure(snr_hi)
     if top.ber > target:
-        return PowerRequirement(config, target, False, None, None, np.inf)
+        return PowerRequirement(config, False, None, None, np.inf)
     lo, hi = snr_lo, snr_hi
     probe = measure(lo)
     while probe.ber <= target and lo > -30.0:
@@ -491,18 +489,17 @@ def find_power_requirement(config: ExperimentConfig, target_ber: Optional[float]
             lo = mid
         else:
             hi = mid
-    return PowerRequirement(config, target, True, hi,
+    return PowerRequirement(config, True, hi,
                             hi - ook_normalisation_db(target), hi - lo)
 
 
 def sweep_dt(config: ExperimentConfig, dt_values: Sequence[float],
-             target_ber: Optional[float] = None,
              snr_hi: float = 40.0, constellation=None, g_matrix=None) -> list:
     """One bisected PowerRequirement per normalised delay spread."""
     out = []
     for dt in dt_values:
         cfg = replace(config, dt=dt)
-        out.append(find_power_requirement(cfg, target_ber, snr_hi=snr_hi,
+        out.append(find_power_requirement(cfg, snr_hi=snr_hi,
                                           constellation=constellation,
                                           g_matrix=g_matrix))
     return out
@@ -510,19 +507,16 @@ def sweep_dt(config: ExperimentConfig, dt_values: Sequence[float],
 
 # --- result serialisation ---------------------------------------------------
 
-def write_curve_csv(fh, curves) -> None:
+def write_curve_csv(fh, curve: BerCurve) -> None:
     """One row per measured point: scheme, M, Dt, fde, snr_db, ber, bits, errors."""
-    if isinstance(curves, BerCurve):
-        curves = [curves]
     w = csv.writer(fh)
     w.writerow(["scheme", "order", "dt", "fde", "snr_o_db", "ber",
                 "bits", "errors", "censored"])
-    for curve in curves:
-        c = curve.config
-        for p in curve.points:
-            w.writerow([c.scheme, c.order, f"{c.dt:g}", int(c.fde),
-                        f"{p.snr_o_db:.4f}", f"{p.ber:.6e}",
-                        p.bits, p.errors, int(p.censored)])
+    c = curve.config
+    for p in curve.points:
+        w.writerow([c.scheme, c.order, f"{c.dt:g}", int(c.fde),
+                    f"{p.snr_o_db:.4f}", f"{p.ber:.6e}",
+                    p.bits, p.errors, int(p.censored)])
 
 
 def write_requirements_csv(fh, requirements) -> None:
@@ -532,7 +526,7 @@ def write_requirements_csv(fh, requirements) -> None:
     for r in requirements:
         c = r.config
         w.writerow([c.scheme, c.order, f"{c.dt:g}", int(c.fde),
-                    f"{r.target_ber:g}", r.as_table_value,
+                    f"{c.target_ber:g}", r.as_table_value,
                     "" if r.snr_o_db is None else f"{r.snr_o_db:.3f}",
                     "" if not np.isfinite(r.bracket_db) else f"{r.bracket_db:.3f}"])
 
@@ -547,7 +541,7 @@ def requirements_summary(requirements) -> dict:
             "order": c.order,
             "dt": c.dt,
             "fde": bool(c.fde),
-            "target_ber": r.target_ber,
+            "target_ber": c.target_ber,
             "requirement_db": None if not r.achievable else round(r.requirement_db, 3),
             "achievable": r.achievable,
         })

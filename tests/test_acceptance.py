@@ -143,7 +143,7 @@ def property_gate():
     # 5d. framed pipeline vs circulant inversion oracle on N = 16
     from scipy.signal import lfilter
     n, cp = 16, 8
-    taps = chan.discretize_impulse_response(1.0, 4, 24e6, 8)
+    taps = chan.discretize_impulse_response(1.0, 4, 24e6)
     blocks = rng.normal(size=(4, n))
     framed = np.concatenate([blocks[:, n - cp:], blocks], axis=1).ravel()
     received = lfilter(taps, [1.0], framed)

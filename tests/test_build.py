@@ -3,7 +3,8 @@
 The ``reference_*`` functions below are the per-point constellation build as
 it stood before batching, kept verbatim (constants included) as the oracle:
 every label, chromaticity and intensity of the batched build must equal it
-bit for bit, and the public 1-row helpers must raise what it raised.
+bit for bit, and the batched helpers must refuse, as a 1-row batch, each
+point it refused, with the same error.
 """
 
 import numpy as np
@@ -207,13 +208,43 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _assert_same_outcome(new, old):
-    if isinstance(old, tuple) and isinstance(old[0], type):
-        assert new == old
-    elif isinstance(old, tuple):  # (sub_quad_id, triad)
-        assert new == old and type(new[0]) is int
-    else:
-        assert isinstance(new, np.ndarray) and np.array_equal(new, old)
+def _refused(outcome) -> bool:
+    return isinstance(outcome, tuple) and isinstance(outcome[0], type)
+
+
+def _assert_batch_matches(new_fn, old_fn, points, *args):
+    """``new_fn`` on a batch of (M, 2) points against ``old_fn`` per point.
+
+    The points ``old_fn`` maps go through ``new_fn`` as one batch, whose
+    rows must equal its results bit for bit; each point it refuses must make
+    a 1-row batch raise the same error.  Returns ``old_fn``'s outcomes.
+    """
+    pts = np.array(points, dtype=float).reshape(-1, 2)
+    old = [_outcome(old_fn, pt, *args) for pt in pts]
+    refused = np.array([_refused(o) for o in old], dtype=bool)
+    if not refused.all():
+        want = np.array([o for o in old if not _refused(o)])
+        got = new_fn(pts[~refused], *args)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for pt, o in zip(pts, old):
+        if _refused(o):
+            assert _outcome(new_fn, pt[None], *args) == o
+    return old
+
+
+def reference_sub_quad_id(target, sources) -> int:
+    return reference_triad(target, sources)[0]
+
+
+def mix(targets, triad_xy):
+    """The batched mixing solve for (M, 2) targets sharing one triad."""
+    triads = np.broadcast_to(triad_xy, (len(targets), 3, 2))
+    return col._mix_intensities(targets, triads)
+
+
+# the batched QLED helpers and their per-point references
+QLED_HELPERS = ((col._sub_quad_ids, reference_sub_quad_id),
+                (col._qled_intensities, reference_qled_intensity))
 
 
 def _seam_points(sources):
@@ -232,24 +263,21 @@ def _seam_points(sources):
 @pytest.mark.parametrize("name", sorted(QLED_SOURCES))
 def test_qled_helpers_match_on_seams(name):
     sources = QLED_SOURCES[name]
-    outcomes = set()
-    for pt in _seam_points(sources):
-        for new_fn, old_fn in ((col.select_qled_triad, reference_triad),
-                               (col.qled_intensity, reference_qled_intensity)):
-            old = _outcome(old_fn, pt, sources)
-            _assert_same_outcome(_outcome(new_fn, pt, sources), old)
-            outcomes.add(old[0] if isinstance(old, tuple) else "ok")
+    pts = _seam_points(sources)
+    ids = _assert_batch_matches(col._sub_quad_ids, reference_sub_quad_id, pts, sources)
+    _assert_batch_matches(col._qled_intensities, reference_qled_intensity, pts, sources)
+    outcomes = {o[0] if _refused(o) else o for o in ids}
     assert OutsideGamut in outcomes and {0, 1, 2, 3} <= outcomes
 
 
-@given(st.floats(-0.05, 1.0), st.floats(-0.05, 1.0), st.sampled_from(sorted(QLED_SOURCES)))
+@given(st.lists(st.tuples(st.floats(-0.05, 1.0), st.floats(-0.05, 1.0)),
+                min_size=1, max_size=8),
+       st.sampled_from(sorted(QLED_SOURCES)))
 @settings(max_examples=300, deadline=None)
-def test_qled_helpers_match_anywhere(x, y, name):
+def test_qled_helpers_match_anywhere(points, name):
     sources = QLED_SOURCES[name]
-    for new_fn, old_fn in ((col.select_qled_triad, reference_triad),
-                           (col.qled_intensity, reference_qled_intensity)):
-        _assert_same_outcome(_outcome(new_fn, (x, y), sources),
-                             _outcome(old_fn, (x, y), sources))
+    for new_fn, old_fn in QLED_HELPERS:
+        _assert_batch_matches(new_fn, old_fn, points, sources)
 
 
 TRIADS = {
@@ -260,12 +288,12 @@ TRIADS = {
 }
 
 
-@given(st.floats(-0.2, 1.0), st.floats(-0.2, 1.0), st.sampled_from(sorted(TRIADS)))
+@given(st.lists(st.tuples(st.floats(-0.2, 1.0), st.floats(-0.2, 1.0)),
+                min_size=1, max_size=8),
+       st.sampled_from(sorted(TRIADS)))
 @settings(max_examples=300, deadline=None)
-def test_intensity_helper_matches_anywhere(x, y, name):
-    _assert_same_outcome(
-        _outcome(col.intensity_from_chromaticity, (x, y), TRIADS[name]),
-        _outcome(reference_intensity, (x, y), TRIADS[name]))
+def test_intensity_helper_matches_anywhere(points, name):
+    _assert_batch_matches(mix, reference_intensity, points, TRIADS[name])
 
 
 def test_intensity_helper_errors():
@@ -277,9 +305,9 @@ def test_intensity_helper_errors():
     for target, xy, error in cases:
         want = _outcome(reference_intensity, target, xy)
         assert want[0] is error
-        assert _outcome(col.intensity_from_chromaticity, target, xy) == want
+        assert _outcome(mix, np.array([target]), xy) == want
     # a vertex nudged out by float residue is clamped, not refused
-    out = col.intensity_from_chromaticity(triad[0] - (1e-11, 0.0), triad)
+    out = mix(np.array([triad[0] - (1e-11, 0.0)]), triad)[0]
     assert np.array_equal(out, reference_intensity(triad[0] - (1e-11, 0.0), triad))
 
 
@@ -288,8 +316,8 @@ def test_qled_helper_errors():
     for target in [(0.9, 0.05), (0.0, 0.0), (0.5, 0.5)]:
         want = _outcome(reference_triad, target, sources)
         assert want[0] is OutsideGamut
-        assert _outcome(col.select_qled_triad, target, sources) == want
-        assert _outcome(col.qled_intensity, target, sources) == want
+        for new_fn, _ in QLED_HELPERS:
+            assert _outcome(new_fn, np.array([target]), sources) == want
 
 
 def test_label_permutation_check():

@@ -23,13 +23,14 @@ class TestDiscretizeImpulseResponse:
 
     def test_geometric_series_oracle_dt_half_m16(self):
         """Dt=0.5, M=16: tau = Ts/4, so taps follow e^{-4k} / geometric sum."""
-        taps = chan.discretize_impulse_response(0.5, 16, RS, 8)
+        taps = chan.discretize_impulse_response(0.5, 16, RS)
+        assert chan.N_TAPS == 8
         raw = np.exp(-4.0 * np.arange(8))
         expected = raw / (1 - np.exp(-4.0 * 8)) * (1 - np.exp(-4.0))
         np.testing.assert_allclose(taps, expected, rtol=1e-12)
 
     def test_geometric_series_oracle_dt1_m4(self):
-        taps = chan.discretize_impulse_response(1.0, 4, RS, 8)
+        taps = chan.discretize_impulse_response(1.0, 4, RS)
         raw = np.exp(-1.0 * np.arange(8))
         np.testing.assert_allclose(taps, raw / raw.sum(), rtol=1e-12)
         assert abs(taps.sum() - 1.0) < 1e-12
@@ -52,9 +53,12 @@ class TestDiscretizeImpulseResponse:
             chan.discretize_impulse_response(-0.1, 4, RS)
 
     def test_channel_model_tau(self):
-        model = chan.ChannelModel.from_parameters(0.5, 16, RS)
-        assert model.tau == pytest.approx(1.0 / RS / 4)
-        assert model.tb == pytest.approx(1.0 / RS / 4)
+        """tau = 2 * Dt * T_b with T_b = T_s / log2(M): h[1] / h[0] = exp(-T_s / tau)."""
+        ts = 1.0 / RS
+        for dt, order in [(0.5, 16), (1.0, 4), (0.1, 64)]:
+            tau = 2.0 * dt * ts / np.log2(order)
+            taps = chan.ChannelModel.from_parameters(dt, order, RS).taps
+            assert taps[1] / taps[0] == pytest.approx(np.exp(-ts / tau), rel=1e-12)
 
 
 class TestShippedMatrices:
@@ -127,7 +131,7 @@ class TestApplyChannel:
         np.testing.assert_array_equal(rx[0], [0.0, 0.003, 0.255, 0.030])
 
     def test_two_tap_convolution(self):
-        model = chan.ChannelModel(0.3, np.array([0.8, 0.2]), 1 / RS, 1 / RS)
+        model = chan.ChannelModel(np.array([0.8, 0.2]))
         tx = np.zeros((5, 1))
         tx[0] = 1.0
         rx, _ = chan.apply_channel(tx, model, np.eye(1), chan.NoiseModel(0.0))

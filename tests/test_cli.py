@@ -253,6 +253,7 @@ class TestConfigValues:
         ("matrices: {g_qled: [[1, 0], [0]]}\n", "matrices.g_qled: must be"),
         ("[1, 2]\n", "top level must be a mapping"),
         ("scheme: [\n", "not valid YAML"),
+        ("n_taps: 8\n", "unknown key 'n_taps'"),
     ])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, text,
                                               message):
@@ -260,6 +261,17 @@ class TestConfigValues:
         assert cli.run(["constellation", "--config", path]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: InvalidConfig: {message}")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text", ["min_bit_errors: 0\n", "min_bit_errors: -5\n",
+                                      "max_bits: 0\n"])
+    def test_non_positive_floor_or_budget_exits_2(self, tmp_path, capsys, text):
+        key = text.split(":")[0]
+        path = _write_config(tmp_path, text)
+        assert cli.run(["ber-curve", "--config", path, "--snr", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: InvalidParameter: {key} must be >= 1")
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

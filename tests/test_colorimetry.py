@@ -31,18 +31,26 @@ def gaussian_elimination(a, b):
     return x
 
 
+def mix(targets, triad):
+    """The batched mixing solve for (M, 2) targets sharing one triad."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    triad = np.asarray(triad, dtype=float)
+    triads = np.broadcast_to(triad, (len(targets), 3, 2))
+    return col._mix_intensities(targets, triads)
+
+
 class TestIntensityFromChromaticity:
     def test_vertex_is_pure_source(self):
         triad = [(0.1, 0.1), (0.3, 0.6), (0.7, 0.3)]
-        out = col.intensity_from_chromaticity(triad[0], triad)
-        np.testing.assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-12)
+        out = mix(triad, triad)
+        np.testing.assert_allclose(out, np.eye(3), atol=1e-12)
 
     def test_matches_gaussian_elimination_oracle(self):
         triad = [(0.1, 0.1), (0.3, 0.6), (0.7, 0.3)]
         target = (0.35, 0.35)
         a = [[0.1, 0.3, 0.7], [0.1, 0.6, 0.3], [1.0, 1.0, 1.0]]
         expected = gaussian_elimination(a, [0.35, 0.35, 1.0])
-        out = col.intensity_from_chromaticity(target, triad)
+        out = mix(target, triad)[0]
         np.testing.assert_allclose(out, expected, atol=1e-12)
         # oracle residual check
         residual = np.array(a) @ np.array(expected) - np.array([0.35, 0.35, 1.0])
@@ -50,18 +58,17 @@ class TestIntensityFromChromaticity:
 
     def test_collinear_triad_raises(self):
         with pytest.raises(SingularTriad):
-            col.intensity_from_chromaticity(
-                (0.2, 0.2), [(0.1, 0.1), (0.2, 0.2), (0.3, 0.3)])
+            mix((0.2, 0.2), [(0.1, 0.1), (0.2, 0.2), (0.3, 0.3)])
 
     def test_outside_gamut_raises(self):
         triad = [(0.1, 0.1), (0.3, 0.6), (0.7, 0.3)]
         with pytest.raises(OutsideGamut):
-            col.intensity_from_chromaticity((0.05, 0.6), triad)
+            mix((0.05, 0.6), triad)
 
     def test_unit_sum(self):
         triad = [(0.1, 0.1), (0.3, 0.6), (0.7, 0.3)]
-        out = col.intensity_from_chromaticity((0.3, 0.35), triad)
-        assert abs(out.sum() - 1.0) < 1e-9
+        out = mix([(0.3, 0.35), (0.2, 0.2), (0.5, 0.35)], triad)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
     @given(st.tuples(st.floats(0.01, 0.98), st.floats(0.01, 0.98), st.floats(0.01, 0.98)))
     @settings(max_examples=200, deadline=None)
@@ -71,7 +78,7 @@ class TestIntensityFromChromaticity:
         w = w / w.sum()
         triad = np.array([(0.1, 0.1), (0.3, 0.6), (0.7, 0.3)])
         target = w @ triad
-        out = col.intensity_from_chromaticity(target, triad)
+        out = mix(target, triad)[0]
         reprojected = out @ triad
         np.testing.assert_allclose(reprojected, target, atol=1e-10)
         np.testing.assert_allclose(out, w, atol=1e-9)
@@ -81,42 +88,46 @@ class TestSelectQledTriad:
     def setup_method(self):
         self.sources = col.default_qled_sources()
 
+    def triad(self, pt):
+        sid = int(col._sub_quad_ids(np.array([pt], dtype=float), self.sources)[0])
+        return sid, col._SUB_QUAD_TRIADS[sid]
+
     def test_centre_point_ties_to_lowest_id(self):
         b, c, y, r = self.sources.xy
         dby, dcr = y - b, r - c
         t = np.linalg.solve(np.column_stack([dby, -dcr]), c - b)
         centre = b + t[0] * dby
-        sid, triad = col.select_qled_triad(centre, self.sources)
+        sid, triad = self.triad(centre)
         assert sid == 0  # pbqo wins the four-way tie
         assert triad == (0, 1, 2)
 
     def test_vertex_b_triad_contains_b(self):
-        sid, triad = col.select_qled_triad(self.sources.xy[0], self.sources)
+        sid, triad = self.triad(self.sources.xy[0])
         assert 0 in triad
 
     def test_interior_of_oqcr_uses_cyr(self):
         # a point slightly inside the Y-corner sub-quadrilateral
         b, c, y, r = self.sources.xy
         probe = 0.9 * y + 0.05 * c + 0.05 * r
-        sid, triad = col.select_qled_triad(probe, self.sources)
+        sid, triad = self.triad(probe)
         assert sid == 1
         assert triad == (1, 2, 3)
 
     def test_outside_gamut(self):
         with pytest.raises(OutsideGamut):
-            col.select_qled_triad((0.9, 0.05), self.sources)
+            self.triad((0.9, 0.05))
 
     def test_every_sub_quad_covered_by_its_triad(self):
         """Random gamut points always solve with non-negative intensities."""
         rng = np.random.default_rng(5)
-        b, c, y, r = self.sources.xy
-        for _ in range(300):
-            w = rng.dirichlet(np.ones(4))
-            pt = w @ self.sources.xy
-            out = col.qled_intensity(pt, self.sources)
-            assert out.min() >= 0.0
-            assert abs(out.sum() - 1.0) < 1e-9
-            assert np.count_nonzero(out) <= 3
+        weights = np.array([rng.dirichlet(np.ones(4)) for _ in range(300)])
+        pts = weights @ self.sources.xy
+        out = col._qled_intensities(pts, self.sources)
+        assert out.min() >= 0.0
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
+        assert (np.count_nonzero(out, axis=1) <= 3).all()
+        # every sub-quadrilateral, so every triad, is exercised
+        assert set(col._sub_quad_ids(pts, self.sources)) == {0, 1, 2, 3}
 
 
 class TestTledConstellation:
@@ -147,7 +158,7 @@ class TestTledConstellation:
         assert sorted(c.labels.tolist()) == list(range(order))
         np.testing.assert_allclose(c.intensities.sum(axis=1), 1.0, atol=1e-9)
         assert c.intensities.min() >= 0.0 and c.intensities.max() <= 1.0
-        assert c.min_distance() > 0.0
+        assert c.nearest_neighbour_distances.min() > 0.0
 
     def test_deterministic(self):
         a = col.build_tled_constellation(16)
@@ -200,7 +211,7 @@ class TestQledConstellation:
         np.testing.assert_allclose(c.intensities.sum(axis=1), 1.0, atol=1e-9)
         assert c.intensities.min() >= 0.0
         assert (np.count_nonzero(c.intensities, axis=1) <= 3).all()
-        assert c.min_distance() > 0.0
+        assert c.nearest_neighbour_distances.min() > 0.0
 
     def test_order_4096_builds(self):
         c = col.build_qled_constellation(4096)

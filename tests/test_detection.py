@@ -164,7 +164,7 @@ def test_duplicated_point_is_never_trusted():
         [[0.0, 0.0, 1.0], 3], [[0.0, 0.0, 1.0], 0]]}}}
     constellation = col.build_tled_constellation(
         4, tables=cfgmod.tled_tables_from_config(file_cfg))
-    assert constellation.min_distance() == 0.0
+    assert constellation.nearest_neighbour_distances.min() == 0.0
     trust = modem.trust_thresholds(constellation, np.float32)
     assert trust[2] == trust[3] == 0.0 and (trust[:2] > 0).all()
     cfg = harness.ExperimentConfig(scheme="tled", order=4, dt=1.0)
@@ -256,4 +256,3 @@ def test_nearest_neighbour_distances_cached_and_brute_force_exact():
     d = np.linalg.norm(c.intensities[:, None] - c.intensities[None], axis=-1)
     np.fill_diagonal(d, np.inf)
     np.testing.assert_allclose(nn, d.min(axis=1), rtol=1e-12)
-    assert c.min_distance() == nn.min()

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,6 +89,10 @@ class TestExperimentConfigValidation:
         ({"target_ber": float("nan")}, InvalidTarget),
         ({"seed": -1}, InvalidParameter),
         ({"seed": 1 << 64}, InvalidParameter),
+        ({"dt": 0.5, "cp": chan.N_TAPS - 2}, InvalidParameter),
+        ({"min_bit_errors": 0}, InvalidParameter),
+        ({"min_bit_errors": -5}, InvalidParameter),
+        ({"max_bits": 0}, InvalidParameter),
     ])
     def test_rejected_at_construction(self, kw, error):
         with pytest.raises(error):
@@ -96,6 +101,9 @@ class TestExperimentConfigValidation:
     def test_valid_edges_accepted(self):
         harness.ExperimentConfig(scheme="tled", order=16, dt=0.0, target_ber=0.49)
         harness.ExperimentConfig(scheme="QLED", order=4096, dt=1.0)
+        harness.ExperimentConfig(min_bit_errors=1, max_bits=1)
+        harness.ExperimentConfig(dt=0.5, cp=chan.N_TAPS - 1)
+        harness.ExperimentConfig(dt=0.0, cp=0)
 
     def test_scheme_is_stored_lower_case(self):
         assert harness.ExperimentConfig(scheme="TLED").scheme == "tled"
@@ -191,10 +199,8 @@ def _module_chain(sim, sigma, seed, chunk_sizes):
         tx_idx = rng.integers(0, cfg.order, size=nb * n)
         tx = constellation.intensities[tx_idx].reshape(nb, n, 4)
         serial = np.concatenate([modem.frame(block[None], cp) for block in tx])
-        dispersed, zi = chan.apply_channel(serial, model, np.eye(4),
-                                           chan.NoiseModel(0.0), zi=zi)
-        rx = dispersed @ chan.G_QLED.T
-        rx = rx + sigma * rng.standard_normal(rx.shape, dtype=np.float64)
+        rx, zi = chan.apply_channel(serial, model, chan.G_QLED,
+                                    chan.NoiseModel(sigma), zi=zi, rng=rng)
         rx = chan.calibrate(rx, chan.G_QLED).reshape(nb, n + cp, 4)
         # block 0 of the stream is the warm-up, never counted
         for b in range(1 if chunk == 0 else 0, nb):
@@ -306,7 +312,7 @@ class TestFindPowerRequirement:
     def test_invalid_inputs(self):
         cfg = fast_cfg()
         with pytest.raises(InvalidTarget):
-            harness.find_power_requirement(cfg, target_ber=0.9)
+            harness.find_power_requirement(replace(cfg, target_ber=0.9))
         with pytest.raises(InvalidParameter):
             harness.find_power_requirement(cfg, snr_lo=10.0, snr_hi=5.0)
 

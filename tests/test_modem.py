@@ -109,7 +109,8 @@ def test_count_bit_errors_matches_bitwise_label_comparison(order):
     sent_idx = rng.integers(0, order, size=2000)
     sent = c.intensities[sent_idx]
     # small pushes stay inside the trust radius, large ones leave it
-    rows = sent + rng.normal(size=sent.shape) * c.min_distance() * np.where(
+    dmin = c.nearest_neighbour_distances.min()
+    rows = sent + rng.normal(size=sent.shape) * dmin * np.where(
         rng.random((2000, 1)) < 0.5, 1e-3, 0.5)
     ct, half_norms = modem.detection_metric(c)
     errors, suspects = modem.count_bit_errors(
