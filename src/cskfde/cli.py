@@ -128,6 +128,8 @@ def _cmd_ber_curve(args) -> int:
     cfg, file_cfg = _experiment_config(args)
     grid = []
     if args.snr:
+        if not np.isfinite(args.snr).all():
+            raise UsageError("--snr needs finite values")
         grid.extend(args.snr)
     if args.snr_range:
         try:

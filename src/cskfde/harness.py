@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, get_type_hints
 
@@ -40,8 +39,8 @@ from . import channel as chan
 from . import colorimetry, fde, modem
 from .errors import InvalidConfig, InvalidParameter, InvalidTarget, UnsupportedOrder
 
-# The draw thread fills each chunk in slices of this many blocks and looks
-# for a stop request between slices.
+# The draw worker fills each chunk in slices of this many blocks, one task
+# per slice, so a stop waits for at most one slice.
 _SLICE_BLOCKS = 512
 
 
@@ -210,92 +209,44 @@ def _chunk_sizes(n_blocks_total: int, chunk_blocks: int) -> list:
     return sizes
 
 
-class _ChunkDraws:
-    """The random draws of :meth:`LinkSimulator.run`, made on a helper thread.
+def _draw(pool, out: np.ndarray, rows_per_block: int, fill):
+    """Queue ``fill`` on each ``_SLICE_BLOCKS``-block slice of ``out``.
 
-    For each chunk the thread makes the calls a serial loop would make, in
-    the same order: ``integers`` for the symbol indices, then (when
-    ``sigma > 0``) ``standard_normal`` for the detector noise, which it
-    scales by ``sigma``.  Each call is split into consecutive slices of
-    ``_SLICE_BLOCKS`` blocks; Philox fills are slice-invariant, so the values
-    are those of one call.  Indices and noise are handed over one at a time
-    through a queue of size 1, so the thread runs at most one chunk ahead.
-    The fills release the GIL, so drawing overlaps the caller's work.
-
-    The caller alone uses :meth:`get`; :meth:`close` stops the thread
-    within one slice and joins it.  An exception on the thread is raised
-    again by the :meth:`get` that would have returned its draw.
+    Philox fills are slice-invariant, and the pool's one worker runs tasks
+    first in, first out, so the slices get the values of one serial call.
+    Returns ``(out, tasks)`` for :func:`_ready`.
     """
+    step = _SLICE_BLOCKS * rows_per_block
+    return out, [pool.submit(fill, out[start:start + step])
+                 for start in range(0, len(out), step)]
 
-    def __init__(self, rng: np.random.Generator, sizes: list, n: int, cp: int,
-                 order: int, n_bands: int, sigma: float, dtype):
-        self._queue = queue.Queue(maxsize=1)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._produce, name="cskfde-draws", daemon=True,
-            args=(rng, sizes, n, cp, order, n_bands, sigma, dtype))
-        self._thread.start()
 
-    def _put(self, item) -> bool:
-        if self._stop.is_set():
-            return False
-        self._queue.put(item)
-        return True
+def _draw_symbols(pool, rng, nb: int, n: int, order: int):
+    """Queue the serial loop's ``rng.integers(0, order, size=nb * n)``."""
+    def fill(part):
+        part[:] = rng.integers(0, order, size=len(part))
+    return _draw(pool, np.empty(nb * n, dtype=np.int64), n, fill)
 
-    def _fill(self, out: np.ndarray, rows_per_block: int, draw) -> bool:
-        """Fill ``out`` slice by slice; False once a stop is requested."""
-        step = _SLICE_BLOCKS * rows_per_block
-        for start in range(0, len(out), step):
-            if self._stop.is_set():
-                return False
-            draw(out[start:start + step])
-        return True
 
-    def _produce(self, rng, sizes, n, cp, order, n_bands, sigma, dtype):
-        def symbols(part):
-            part[:] = rng.integers(0, order, size=len(part))
+def _draw_noise(pool, rng, nb: int, rows_per_block: int, n_bands: int,
+                sigma: float, dtype):
+    """Queue the serial loop's ``sigma * rng.standard_normal(shape, dtype)``
+    in that product's dtype: a numpy float64 sigma promotes it to float64."""
+    def fill(part):
+        np.multiply(rng.standard_normal(part.shape, dtype=dtype), sigma, out=part)
+    out = np.empty((nb * rows_per_block, n_bands),
+                   dtype=np.result_type(sigma, dtype))
+    return _draw(pool, out, rows_per_block, fill)
 
-        def noise(part):
-            # the product ``sigma * draw`` of the serial loop, in its dtype
-            np.multiply(rng.standard_normal(part.shape, dtype=dtype), sigma,
-                        out=part)
 
-        # a numpy float64 sigma promotes the scaled noise to float64
-        noise_dtype = np.result_type(sigma, dtype)
-        try:
-            for nb in sizes:
-                tx_idx = np.empty(nb * n, dtype=np.int64)
-                if not (self._fill(tx_idx, n, symbols) and self._put(tx_idx)):
-                    return
-                if sigma > 0:
-                    scaled = np.empty((nb * (n + cp), n_bands), dtype=noise_dtype)
-                    if not (self._fill(scaled, n + cp, noise)
-                            and self._put(scaled)):
-                        return
-        except BaseException as exc:  # handed to the caller, never lost
-            self._put(exc)
-
-    def get(self) -> np.ndarray:
-        item = self._queue.get()
-        if isinstance(item, BaseException):
-            raise item
-        return item
-
-    def close(self) -> None:
-        self._stop.set()
-        # a thread blocked on the full queue gets its one put through
-        while True:
-            try:
-                self._queue.get_nowait()
-            except queue.Empty:
-                break
-        self._thread.join()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
+def _ready(job) -> np.ndarray:
+    """The buffer of a queued draw once all its slices are in; a draw error
+    is raised here, in the caller."""
+    out, tasks = job
+    wait(tasks[-1:])  # the tasks run in order, so the last one ends last
+    for task in tasks:
+        task.result()
+    return out
 
 
 class LinkSimulator:
@@ -314,14 +265,15 @@ class LinkSimulator:
     uniform random bits, and errors are counted by label XOR.  The first
     block of every stream is a warm-up excluded from error counting.
 
-    The run works in chunks of blocks on two threads.  A helper thread
-    (:class:`_ChunkDraws`) owns the Philox generator and draws each chunk's
-    symbol indices, then its scaled noise, with the calls and in the order
-    of a serial loop.  The calling thread never touches the generator: it
-    maps, frames, disperses and mixes a chunk while that chunk's noise is
-    drawn, then calibrates, equalises and detects it while the next chunk
-    is drawn.  The results are those of the serial loop, bit for bit, and
-    no thread outlives the call.
+    The run works in chunks of blocks on two threads.  A one-worker
+    ``ThreadPoolExecutor`` alone uses the Philox generator: it draws each
+    chunk's symbol indices, then its scaled noise, with the calls and in
+    the order of a serial loop, one task per ``_SLICE_BLOCKS`` slice.  The
+    calling thread maps, frames, disperses and mixes a chunk while that
+    chunk's noise is drawn, then calibrates, equalises and detects it while
+    the next chunk is drawn.  The results are those of the serial loop, bit
+    for bit.  The run shuts the pool down on every exit, cancelling the
+    draws not yet started, so no thread outlives the call.
 
     Detection is screened: a row within the trust radius of its sent point
     (:func:`modem.trust_thresholds`) provably detects as that point, so only
@@ -372,37 +324,53 @@ class LinkSimulator:
 
         Returns (errors, bits, censored); ``censored`` means the run used up
         ``n_bits`` before ``min_bit_errors`` and no decisive comparison
-        against ``stop_target`` ended it first.
+        against ``stop_target`` ended it first.  Raises InvalidParameter,
+        before any thread starts, unless ``n_bits``, ``min_bit_errors`` and
+        ``chunk_blocks`` are >= 1 and ``sigma`` is finite and >= 0.
         """
-        if chunk_blocks < 1:
-            raise InvalidParameter(f"chunk_blocks must be >= 1, got {chunk_blocks}")
         cfg = self.config
-        n, cp = cfg.n, cfg.cp
+        n, cp, bands = cfg.n, cfg.cp, self.n_bands
         min_errors = cfg.min_bit_errors if min_bit_errors is None else min_bit_errors
-        n_blocks_total = max(int(np.ceil(n_bits / (self.k * n))), 1)
-        sizes = _chunk_sizes(n_blocks_total, chunk_blocks)
+        for name, value in (("n_bits", n_bits), ("min_bit_errors", min_errors),
+                            ("chunk_blocks", chunk_blocks)):
+            if value < 1:
+                raise InvalidParameter(f"{name} must be >= 1, got {value}")
+        if not (np.isfinite(sigma) and sigma >= 0):
+            raise InvalidParameter(f"sigma must be finite and >= 0, got {sigma}")
+        sizes = _chunk_sizes(int(np.ceil(n_bits / (self.k * n))), chunk_blocks)
         errors = 0
         bits = 0
-        zi = np.zeros((len(self.taps) - 1, self.n_bands), dtype=self.dtype)
+        zi = np.zeros((len(self.taps) - 1, bands), dtype=self.dtype)
         warmup = 1  # first block of the stream is not counted
-        with _ChunkDraws(chan.make_rng(seed), sizes, n, cp,
-                         self.constellation.order, self.n_bands, sigma,
-                         self.dtype) as draws:
-            for nb in sizes:
-                tx_idx = draws.get()
-                tx = self.points[tx_idx].reshape(nb, n, self.n_bands)
+        rng, order = chan.make_rng(seed), self.constellation.order
+        pool = ThreadPoolExecutor(1, thread_name_prefix="cskfde-draws")
+        try:
+            # queued in the serial loop's order: per chunk the indices, then
+            # the noise; the next chunk's draw is queued as this one is taken
+            symbols = _draw_symbols(pool, rng, sizes[0], n, order)
+            if sigma > 0:
+                noise = _draw_noise(pool, rng, sizes[0], n + cp, bands, sigma,
+                                    self.dtype)
+            for nb, nb_next in zip(sizes, sizes[1:] + [0]):
+                tx_idx = _ready(symbols)
+                if nb_next:
+                    symbols = _draw_symbols(pool, rng, nb_next, n, order)
+                tx = self.points[tx_idx].reshape(nb, n, bands)
                 dispersed, zi = chan.disperse(modem.frame(tx, cp), self.taps, zi)
                 rx = dispersed @ self.g.T
                 if sigma > 0:
-                    rx += draws.get()
+                    rx += _ready(noise)
+                    if nb_next:
+                        noise = _draw_noise(pool, rng, nb_next, n + cp, bands,
+                                            sigma, self.dtype)
                 rx = rx @ self.g_inv.T
-                payload = rx.reshape(nb, n + cp, self.n_bands)[:, cp:]
+                payload = rx.reshape(nb, n + cp, bands)[:, cp:]
                 if cfg.fde:
                     payload = fde.equalize(payload, self.zfe_half)
                 first = n * warmup  # the warm-up block is not counted
                 chunk_errors, suspects = modem.count_bit_errors(
-                    payload.reshape(nb * n, self.n_bands)[first:],
-                    tx.reshape(nb * n, self.n_bands)[first:], tx_idx[first:],
+                    payload.reshape(nb * n, bands)[first:],
+                    tx.reshape(nb * n, bands)[first:], tx_idx[first:],
                     self.trust_sq, self.ct, self.half_norms, self.labels)
                 counted = nb - warmup
                 warmup = 0
@@ -420,6 +388,8 @@ class LinkSimulator:
                     if hi < stop_target or (errors >= min_errors
                                             and lo > stop_target):
                         return errors, bits, False
+        finally:
+            pool.shutdown(cancel_futures=True)
         return errors, bits, errors < min_errors
 
 

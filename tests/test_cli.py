@@ -69,6 +69,14 @@ class TestParsing:
         assert cli.run(["ber-curve", f"--snr-range={grid}"]) == 2
         assert "usage error: --snr-range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+    def test_non_finite_snr_is_a_usage_error(self, snr, capsys, started_threads,
+                                             fast_config):
+        assert cli.run(["ber-curve", "--config", fast_config, "--snr=12",
+                        f"--snr={snr}"]) == 2
+        assert "usage error: --snr needs finite values" in capsys.readouterr().err
+        assert started_threads == []
+
 
 class TestConstellationCommand:
     def test_export(self, tmp_path):
@@ -97,6 +105,16 @@ class TestLoopbackCommand:
         code = cli.run(["loopback-check", "--scheme", "tled", "--order", "16",
                         "--dt", "1", "--fde", "off", "--bits", "40000"])
         assert code == 1
+
+    @pytest.mark.parametrize("bits", ["0", "-100"])
+    def test_non_positive_bits_exit_2(self, bits, capsys, started_threads):
+        code = cli.run(["loopback-check", f"--bits={bits}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(
+            f"error: InvalidParameter: n_bits must be >= 1, got {bits}")
+        assert captured.out == ""
+        assert started_threads == []
 
     @pytest.mark.parametrize("g,error", [
         ([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],

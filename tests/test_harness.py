@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -368,7 +369,7 @@ def _assert_no_thread_left(start, timeout=5.0):
     while threading.active_count() != start and time.monotonic() < deadline:
         time.sleep(0.01)
     assert threading.active_count() == start
-    assert not any(t.name == "cskfde-draws" for t in threading.enumerate())
+    assert not any(t.name.startswith("cskfde-draws") for t in threading.enumerate())
 
 
 class TestDrawPipeline:
@@ -460,11 +461,65 @@ class TestDrawPipeline:
         with pytest.raises(InvalidParameter):
             harness.LinkSimulator(fast_cfg()).run(0.1, 1000, 1, chunk_blocks=0)
 
+    @pytest.mark.parametrize("sigma,n_bits,kwargs,name", [
+        (0.1, 0, {}, "n_bits"),
+        (0.1, -100, {}, "n_bits"),
+        (0.1, 1000, {"min_bit_errors": 0}, "min_bit_errors"),
+        (0.1, 1000, {"min_bit_errors": -5}, "min_bit_errors"),
+        (0.1, 1000, {"chunk_blocks": 0}, "chunk_blocks"),
+        (float("nan"), 1000, {}, "sigma"),
+        (float("inf"), 1000, {}, "sigma"),
+        (-0.5, 1000, {"min_bit_errors": 5}, "sigma"),
+        (np.float64(-0.5), 1000, {}, "sigma"),
+    ])
+    def test_bad_run_arguments_raise_before_any_thread(
+            self, started_threads, sigma, n_bits, kwargs, name):
+        sim = harness.LinkSimulator(fast_cfg())
+        with pytest.raises(InvalidParameter, match=f"^{name} must be"):
+            sim.run(sigma, n_bits, 1, **kwargs)
+        assert started_threads == []
+
+    def test_a_stop_cancels_the_next_chunks_noise(self, monkeypatch):
+        """A run that stops on its first chunk waits for at most the noise
+        slice in progress; the rest of the next chunk is never drawn."""
+        make_rng = chan.make_rng
+        drawn = []
+
+        class SlowRng:
+            """The real stream, each noise slice counted and slowed."""
+
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def integers(self, *args, **kwargs):
+                return self.rng.integers(*args, **kwargs)
+
+            def standard_normal(self, *args, **kwargs):
+                time.sleep(0.05)
+                draw = self.rng.standard_normal(*args, **kwargs)
+                drawn.append(None)
+                return draw
+
+        monkeypatch.setattr(chan, "make_rng", SlowRng)
+        monkeypatch.setattr(harness, "_SLICE_BLOCKS", 1)
+        start = threading.active_count()
+        sim = harness.LinkSimulator(fast_cfg(dt=1.0))
+        chunk = 8
+        errors, bits, censored = sim.run(harness.sigma_from_snr(0.0), 200_000_000,
+                                         1, min_bit_errors=1, chunk_blocks=chunk)
+        assert errors >= 1 and bits == (chunk - 1) * 64 * sim.k and not censored
+        at_return = len(drawn)
+        assert at_return - chunk < chunk / 2  # slices of the next chunk
+        time.sleep(0.2)
+        assert len(drawn) == at_return
+        _assert_no_thread_left(start)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("sigma", [0.0, 0.0531, np.float64(0.0531)])
     def test_chunk_draws_are_the_serial_draws(self, monkeypatch, dtype, sigma):
-        """Sliced draws and sigma scaled into the chunk buffer equal the
-        serial loop's ``integers`` then ``sigma * standard_normal``."""
+        """Sliced draws queued on one worker, with sigma scaled into the
+        chunk buffer, equal the serial loop's ``integers`` then
+        ``sigma * standard_normal``."""
         monkeypatch.setattr(harness, "_SLICE_BLOCKS", 2)
         sizes = harness._chunk_sizes(12, 5)
         n, cp, order, bands = 8, 2, 64, 4
@@ -475,9 +530,16 @@ class TestDrawPipeline:
             if sigma > 0:
                 want.append(sigma * rng.standard_normal((nb * (n + cp), bands),
                                                         dtype=dtype))
-        with harness._ChunkDraws(chan.make_rng((1, 7)), sizes, n, cp, order,
-                                 bands, sigma, dtype) as draws:
-            got = [draws.get() for _ in want]
+        rng = chan.make_rng((1, 7))
+        with ThreadPoolExecutor(1) as pool:
+            jobs = []
+            for nb in sizes:
+                jobs.append(harness._draw_symbols(pool, rng, nb, n, order))
+                if sigma > 0:
+                    jobs.append(harness._draw_noise(pool, rng, nb, n + cp, bands,
+                                                    sigma, dtype))
+            got = [harness._ready(job) for job in jobs]
+        assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
