@@ -31,10 +31,8 @@ from .harness import (
     PowerRequirement,
     data_rate,
     find_power_requirement,
-    ook_reference,
     run_ber_curve,
     run_ber_point,
-    sweep_dt,
 )
 from .modem import frame, ml_detect
 

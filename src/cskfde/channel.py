@@ -27,8 +27,7 @@ G_QLED = np.array([[0.200, 0.003, 0.0,   0.0],
 N_TAPS = 8
 
 
-def discretize_impulse_response(dt: float, order: int,
-                                symbol_rate: float) -> np.ndarray:
+def discretize_impulse_response(dt: float, order: int) -> np.ndarray:
     """Symbol-spaced taps of the exponential-decay impulse response.
 
     ``dt`` is the rms delay spread normalised to the bit duration
@@ -38,8 +37,6 @@ def discretize_impulse_response(dt: float, order: int,
     """
     if order < 2:
         raise InvalidParameter(f"modulation order must be >= 2, got {order}")
-    if symbol_rate <= 0:
-        raise InvalidParameter(f"symbol rate must be positive, got {symbol_rate}")
     if dt < 0:
         raise InvalidParameter(f"normalised delay spread must be >= 0, got {dt}")
     taps = np.zeros(N_TAPS)
@@ -60,9 +57,10 @@ class ChannelModel:
 
     @classmethod
     def from_parameters(cls, dt: float, order: int,
-                        symbol_rate: float) -> "ChannelModel":
-        """The channel of one (dt, M, Rs) operating point."""
-        return cls(discretize_impulse_response(dt, order, symbol_rate))
+                        symbol_rate=None) -> "ChannelModel":
+        """The channel of one (dt, M) operating point; ``symbol_rate`` is
+        ignored, since the taps do not depend on it."""
+        return cls(discretize_impulse_response(dt, order))
 
 
 @dataclass(frozen=True)

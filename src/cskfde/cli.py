@@ -27,63 +27,68 @@ class UsageError(Exception):
     pass
 
 
-def _add_link_flags(p: argparse.ArgumentParser) -> None:
-    d = harness.ExperimentConfig  # the defaults shown in the help
-    p.add_argument("--scheme", choices=[colorimetry.TLED, colorimetry.QLED],
-                   help=f"CSK scheme (default {d.scheme})")
-    p.add_argument("--order", type=int, help=f"modulation order M (default {d.order})")
-    p.add_argument("--dt", type=float,
-                   help=f"normalised delay spread D_rms/T_b (default {d.dt:g})")
-    p.add_argument("--fde", choices=["on", "off"],
-                   help="frequency-domain equalisation "
-                        f"(default {'on' if d.fde else 'off'})")
-    p.add_argument("--n", type=int, help=f"FDE block length N (default {d.n})")
-    p.add_argument("--cp", type=int, help=f"cyclic prefix length L (default {d.cp})")
-    p.add_argument("--rs", dest="symbol_rate", metavar="RS", type=float,
-                   help=f"symbol rate in symbols/s (default {d.symbol_rate / 1e6:g}e6)")
-    p.add_argument("--target-ber", type=float,
-                   help=f"target BER (default {d.target_ber:g})")
-    p.add_argument("--seed", type=int, help=f"master RNG seed (default {d.seed})")
-    p.add_argument("--config", help="YAML configuration file; flags override it")
-    p.add_argument("--out", help="output CSV path (default stdout)")
+_D = harness.ExperimentConfig  # the defaults shown in the help
+_FLAGS = {
+    "scheme": {"choices": [colorimetry.TLED, colorimetry.QLED],
+               "help": f"CSK scheme (default {_D.scheme})"},
+    "order": {"type": int, "help": f"modulation order M (default {_D.order})"},
+    "dt": {"type": float,
+           "help": f"normalised delay spread D_rms/T_b (default {_D.dt:g})"},
+    "fde": {"choices": ["on", "off"],
+            "help": "frequency-domain equalisation "
+                    f"(default {'on' if _D.fde else 'off'})"},
+    "n": {"type": int, "help": f"FDE block length N (default {_D.n})"},
+    "cp": {"type": int, "help": f"cyclic prefix length L (default {_D.cp})"},
+    "target-ber": {"type": float, "help": f"target BER (default {_D.target_ber:g})"},
+    "seed": {"type": int, "help": f"master RNG seed (default {_D.seed})"},
+    "config": {"help": "YAML configuration file; flags override it"},
+    "out": {"help": "output CSV path (default stdout)"},
+}
+
+
+def _subcommand(sub, name: str, summary: str, flags: str) -> argparse.ArgumentParser:
+    """A subparser that takes the ``_FLAGS`` named in ``flags`` and no
+    abbreviation of a flag (``--dt`` is not ``--dt-list``)."""
+    p = sub.add_parser(name, help=summary, allow_abbrev=False)
+    for flag in flags.split():
+        p.add_argument(f"--{flag}", **_FLAGS[flag])
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    d = harness.ExperimentConfig
     parser = argparse.ArgumentParser(
         prog="cskfde",
         description="TLED/QLED colour-shift-keying link simulation with "
                     "cyclic-prefix block transmission and zero-forcing FDE "
-                    f"over diffuse optical channels (defaults: N={d.n}, "
-                    f"L={d.cp}, Rs={d.symbol_rate / 1e6:g}e6 symbols/s).")
+                    f"over diffuse optical channels (defaults: N={_D.n}, "
+                    f"L={_D.cp}).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ber-curve", help="measure BER over an SNR grid")
-    _add_link_flags(p)
+    p = _subcommand(sub, "ber-curve", "measure BER over an SNR grid",
+                    "scheme order dt fde n cp seed config out")
     p.add_argument("--snr", type=float, action="append",
                    help="single SNR_o point in dB (repeatable)")
     p.add_argument("--snr-range", help="grid as lo:hi:step in dB, e.g. 10:20:1")
 
-    p = sub.add_parser("power-vs-dt",
-                       help="bisected power requirements over a Dt sweep")
-    _add_link_flags(p)
-    p.add_argument("--dt-list", help="comma-separated Dt values "
-                                     "(default 0.01,0.05,0.1,0.2,0.5,1.0)")
+    p = _subcommand(sub, "power-vs-dt", "bisected power requirements over a Dt sweep",
+                    "scheme order fde n cp target-ber seed config out")
+    p.add_argument("--dt-list", default="0.01,0.05,0.1,0.2,0.5,1.0",
+                   help="comma-separated Dt values (default %(default)s)")
     p.add_argument("--json", help="also write a JSON summary to this path")
 
-    p = sub.add_parser("table1", help="power requirements for chosen entries")
-    _add_link_flags(p)
+    # each entry sets the scheme, order, dt and fde
+    p = _subcommand(sub, "table1", "power requirements for chosen entries",
+                    "n cp target-ber seed config out")
     p.add_argument("--entries", required=True,
                    help="comma-separated scheme:order:dt:fde items, "
                         "e.g. qled:4:1.0:fde,tled:16:0.1:none")
     p.add_argument("--json", help="also write a JSON summary to this path")
 
-    p = sub.add_parser("constellation", help="export a constellation as CSV")
-    _add_link_flags(p)
+    _subcommand(sub, "constellation", "export a constellation as CSV",
+                "scheme order config out")
 
-    p = sub.add_parser("loopback-check",
-                       help="noiseless end-to-end loopback bit check")
-    _add_link_flags(p)
+    p = _subcommand(sub, "loopback-check", "noiseless end-to-end loopback bit check",
+                    "scheme order dt fde n cp seed config")
     p.add_argument("--bits", type=int, default=1_000_000,
                    help="number of bits to stream (default 1e6)")
     return parser
@@ -95,7 +100,7 @@ def _experiment_config(args):
     if args.config:
         with open(args.config) as fh:
             file_cfg = cfgmod.load_config(fh)
-    fde = None if args.fde is None else args.fde == "on"
+    fde = {"on": True, "off": False}.get(getattr(args, "fde", None))
     return cfgmod.merge(file_cfg, {**vars(args), "fde": fde}), file_cfg
 
 
@@ -170,14 +175,13 @@ def _cmd_table1(args) -> int:
 
 def _cmd_power_vs_dt(args) -> int:
     cfg, file_cfg = _experiment_config(args)
-    if args.dt_list:
-        try:
-            dts = [float(v) for v in args.dt_list.split(",")]
-        except ValueError:
-            raise UsageError("--dt-list must be comma-separated numbers")
-    else:
-        dts = [0.01, 0.05, 0.1, 0.2, 0.5, 1.0]
-    requirements = harness.sweep_dt(cfg, dts, **_link(file_cfg, cfg))
+    try:
+        dts = [float(v) for v in args.dt_list.split(",")]
+    except ValueError:
+        raise UsageError("--dt-list must be comma-separated numbers")
+    link = _link(file_cfg, cfg)
+    requirements = [harness.find_power_requirement(replace(cfg, dt=dt), **link)
+                    for dt in dts]
     return _write_requirements(args, requirements)
 
 

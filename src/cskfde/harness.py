@@ -14,10 +14,10 @@ ratio twice the optical dB value.
 
 Power requirements are reported relative to on-off keying over an AWGN
 channel at the same noise level and unit responsivity: an OOK link with
-levels {0, 2P} and threshold P needs average power P_ook = sigma * Qinv(ber)
-(see :func:`ook_reference`), i.e. an ON-level of 2 * P_ook.  Since the CSK
-envelope is constant (peak equals average), the requirement compares like
-with like through the OOK ON-level:
+levels {0, 2P} and threshold P needs average power P_ook = sigma * Qinv(ber),
+i.e. an ON-level of 2 * P_ook.  Since the CSK envelope is constant (peak
+equals average), the requirement compares like with like through the OOK
+ON-level:
 
     requirement [dB] = SNR_o* - 10 * log10(2 * Qinv(target_ber))
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
@@ -43,23 +43,13 @@ from .errors import InvalidConfig, InvalidParameter, InvalidTarget, UnsupportedO
 # per slice, so a stop waits for at most one slice.
 _SLICE_BLOCKS = 512
 
+# The bisection's search range and its stopping bracket, in dB of SNR_o.
+_SNR_LO_DB, _SNR_HI_DB, _BRACKET_DB = 0.0, 40.0, 0.1
+
 
 def qfunc_inv(p: float) -> float:
     """Inverse Gaussian tail function Q^-1."""
     return float(np.sqrt(2.0) * erfcinv(2.0 * p))
-
-
-def ook_reference(target_ber: float, sigma: float) -> float:
-    """Average optical power OOK needs for ``target_ber`` at noise ``sigma``.
-
-    Convention: unipolar levels {0, 2P}, unit responsivity, threshold at P,
-    so BER = Q(P / sigma) and the required average power is sigma * Qinv.
-    """
-    if not 0.0 < target_ber < 0.5:
-        raise InvalidTarget(f"target BER must be in (0, 0.5), got {target_ber}")
-    if sigma < 0:
-        raise InvalidParameter(f"noise deviation must be >= 0, got {sigma}")
-    return sigma * qfunc_inv(target_ber)
 
 
 def sigma_from_snr(snr_o_db: float) -> float:
@@ -72,10 +62,11 @@ def ook_normalisation_db(target_ber: float) -> float:
     return 10.0 * np.log10(2.0 * qfunc_inv(target_ber))
 
 
-def wilson_interval(errors: int, trials: int, z: float = 1.96):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int):
+    """95 % Wilson score interval for a binomial proportion."""
     if trials <= 0:
         return 0.0, 1.0
+    z = 1.96
     p = errors / trials
     denom = 1.0 + z * z / trials
     centre = (p + z * z / (2 * trials)) / denom
@@ -94,7 +85,6 @@ class ExperimentConfig:
     fde: bool = True
     n: int = 64
     cp: int = 8
-    symbol_rate: float = 24e6
     target_ber: float = 1e-6
     min_bit_errors: int = 100
     max_bits: int = 200_000_000
@@ -125,6 +115,9 @@ class ExperimentConfig:
                 f"cyclic prefix {self.cp} shorter than channel memory {memory}")
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise InvalidParameter(f"N must be a power of two, got {self.n}")
+        if self.cp > self.n:
+            raise InvalidParameter(
+                f"cyclic prefix {self.cp} longer than block N={self.n}")
         if not 0 <= self.seed < 1 << 64:  # a Philox key word is a uint64
             raise InvalidParameter(f"seed must be in [0, 2**64), got {self.seed}")
 
@@ -149,8 +142,9 @@ def _as_type(name: str, kind: type, value):
 
 
 def data_rate(order: int, n: int = ExperimentConfig.n, cp: int = ExperimentConfig.cp,
-              symbol_rate: float = ExperimentConfig.symbol_rate) -> float:
-    """Payload bit rate (N / (N + L)) * Rs * log2(M); cp = 0 gives the unframed rate."""
+              symbol_rate: float = 24e6) -> float:
+    """Payload bit rate (N / (N + L)) * Rs * log2(M); cp = 0 gives the unframed
+    rate.  Rs is used nowhere else: Dt is normalised to the bit time."""
     if order < 2 or n < 1 or cp < 0 or symbol_rate <= 0:
         raise InvalidParameter("invalid rate parameters")
     return (n / (n + cp)) * symbol_rate * np.log2(order)
@@ -170,7 +164,7 @@ class BerCurve:
     config: ExperimentConfig
     points: list = field(default_factory=list)
 
-    def is_monotone_non_increasing(self, z: float = 1.96) -> bool:
+    def is_monotone_non_increasing(self) -> bool:
         """BER non-increasing in SNR beyond the Wilson confidence overlap.
 
         A later (higher-SNR) point only counts as a violation when its whole
@@ -178,8 +172,8 @@ class BerCurve:
         """
         pts = sorted(self.points, key=lambda p: p.snr_o_db)
         for a, b in zip(pts, pts[1:]):
-            _, hi_a = wilson_interval(a.errors, a.bits, z)
-            lo_b, _ = wilson_interval(b.errors, b.bits, z)
+            _, hi_a = wilson_interval(a.errors, a.bits)
+            lo_b, _ = wilson_interval(b.errors, b.bits)
             if lo_b > hi_a:
                 return False
         return True
@@ -298,7 +292,7 @@ class LinkSimulator:
         self.g_inv = chan.cil_inverse(g_matrix, self.n_bands).astype(dtype)
         self.g = np.asarray(g_matrix, dtype=dtype)
         self.taps = chan.discretize_impulse_response(
-            config.dt, config.order, config.symbol_rate).astype(dtype)
+            config.dt, config.order).astype(dtype)
         # subnormal taps make the convolution several times slower; zero them
         self.taps[self.taps < np.finfo(dtype).tiny] = 0
         self.points = self.constellation.intensities.astype(dtype)
@@ -422,19 +416,16 @@ def run_ber_curve(config: ExperimentConfig, snr_grid: Sequence[float],
     return curve
 
 
-def find_power_requirement(config: ExperimentConfig,
-                           snr_lo: float = 0.0, snr_hi: float = 40.0,
-                           bracket_db: float = 0.1,
-                           constellation=None, g_matrix=None) -> PowerRequirement:
-    """Bisect the optical SNR threshold reaching ``config.target_ber``.
+def find_power_requirement(config: ExperimentConfig, constellation=None,
+                           g_matrix=None) -> PowerRequirement:
+    """Bisect the optical SNR threshold reaching ``config.target_ber`` to a
+    0.1 dB bracket.
 
-    If the BER at ``snr_hi`` still exceeds the target the requirement is
+    If the BER at 40 dB still exceeds the target the requirement is
     reported unachievable (the irreducible-floor case).  The result is the
     threshold in dB relative to the OOK reference at the same noise level.
     """
     target = config.target_ber
-    if snr_lo >= snr_hi:
-        raise InvalidParameter("snr_lo must be below snr_hi")
     sim = LinkSimulator(config, constellation, g_matrix)
     stream = iter(range(1 << 30))
 
@@ -443,16 +434,16 @@ def find_power_requirement(config: ExperimentConfig,
                              seed=(config.seed, next(stream)),
                              stop_target=target)
 
-    top = measure(snr_hi)
+    top = measure(_SNR_HI_DB)
     if top.ber > target:
         return PowerRequirement(config, False, None, None, np.inf)
-    lo, hi = snr_lo, snr_hi
+    lo, hi = _SNR_LO_DB, _SNR_HI_DB
     probe = measure(lo)
     while probe.ber <= target and lo > -30.0:
         hi = lo
         lo -= 10.0
         probe = measure(lo)
-    while hi - lo > bracket_db:
+    while hi - lo > _BRACKET_DB:
         mid = 0.5 * (lo + hi)
         point = measure(mid)
         if point.ber > target:
@@ -461,18 +452,6 @@ def find_power_requirement(config: ExperimentConfig,
             hi = mid
     return PowerRequirement(config, True, hi,
                             hi - ook_normalisation_db(target), hi - lo)
-
-
-def sweep_dt(config: ExperimentConfig, dt_values: Sequence[float],
-             snr_hi: float = 40.0, constellation=None, g_matrix=None) -> list:
-    """One bisected PowerRequirement per normalised delay spread."""
-    out = []
-    for dt in dt_values:
-        cfg = replace(config, dt=dt)
-        out.append(find_power_requirement(cfg, snr_hi=snr_hi,
-                                          constellation=constellation,
-                                          g_matrix=g_matrix))
-    return out
 
 
 # --- result serialisation ---------------------------------------------------

@@ -143,7 +143,7 @@ def property_gate():
     # 5d. framed pipeline vs circulant inversion oracle on N = 16
     from scipy.signal import lfilter
     n, cp = 16, 8
-    taps = chan.discretize_impulse_response(1.0, 4, 24e6)
+    taps = chan.discretize_impulse_response(1.0, 4)
     blocks = rng.normal(size=(4, n))
     framed = np.concatenate([blocks[:, n - cp:], blocks], axis=1).ravel()
     received = lfilter(taps, [1.0], framed)
@@ -167,7 +167,7 @@ def property_gate():
     for g in (chan.G_TLED, chan.G_QLED):
         if not np.allclose(np.linalg.inv(g) @ g, np.eye(len(g)), atol=1e-12):
             failures.append("G inverse round trip above 1e-12")
-    model = chan.ChannelModel.from_parameters(0.0, 4, 24e6)
+    model = chan.ChannelModel.from_parameters(0.0, 4)
     probe = np.zeros((1, 4))
     probe[0, 2] = 1.0
     rx, _ = chan.apply_channel(probe, model, chan.G_QLED, chan.NoiseModel(0.0))

@@ -36,7 +36,7 @@ class TestParsing:
             cli.build_parser().parse_args(["--help"])
         assert exc.value.code == 0
         text = capsys.readouterr().out
-        assert "N=64" in text and "L=8" in text and "24e6" in text
+        assert "N=64" in text and "L=8" in text and "Rs=" not in text
 
     def test_unsupported_order_exits_2(self, capsys):
         code = cli.run(["constellation", "--scheme", "tled", "--order", "32"])
@@ -51,14 +51,44 @@ class TestParsing:
         ["--scheme", "qled", "--order", "32"],
         ["--scheme", "tled", "--order", "64"],
         ["--dt", "-1"],
-        ["--target-ber", "0.7"],
+        ["--n", "48"],
         ["--seed", "-1"],
-        ["--rs", "0"],
+        ["--cp", "65"],
         ["--seed", str(1 << 64)],
     ])
     def test_invalid_config_exits_2(self, flags, capsys):
         assert cli.run(["ber-curve", "--snr", "10"] + flags) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: ")  # not argparse's
+
+    def test_invalid_target_ber_exits_2(self, capsys):
+        assert cli.run(["table1", "--entries", "qled:4:0:fde",
+                        "--target-ber", "0.7"]) == 2
+        assert capsys.readouterr().err.startswith("error: InvalidTarget:")
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--entries", "qled:4:0:fde", "--order", "16"],
+        ["table1", "--entries", "qled:4:0:fde", "--scheme", "qled"],
+        ["table1", "--entries", "qled:4:0:fde", "--dt", "0.5"],
+        ["table1", "--entries", "qled:4:0:fde", "--fde", "off"],
+        ["constellation", "--seed", "3"],
+        ["constellation", "--dt", "0.5"],
+        ["loopback-check", "--out", "x"],
+        ["loopback-check", "--target-ber", "1e-3"],
+        ["ber-curve", "--snr", "10", "--target-ber", "1e-3"],
+        ["power-vs-dt", "--dt", "0.5"],
+        ["ber-curve", "--snr", "10", "--rs", "24e6"],
+        ["power-vs-dt", "--rs", "24e6"],
+        ["table1", "--entries", "qled:4:0:fde", "--rs", "24e6"],
+        ["constellation", "--rs", "24e6"],
+        ["loopback-check", "--rs", "24e6"],
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, argv, capsys,
+                                                    started_threads):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
+        assert captured.out == ""
+        assert started_threads == []
 
     def test_ber_curve_needs_grid(self):
         assert cli.run(["ber-curve", "--scheme", "qled", "--order", "4"]) == 2
@@ -209,6 +239,17 @@ class TestTable1Command:
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 3
 
+    def test_power_vs_dt_is_table1_over_the_matching_entries(self, tmp_path,
+                                                             fast_config):
+        sweep, table = tmp_path / "sweep.csv", tmp_path / "t1.csv"
+        assert cli.run(["power-vs-dt", "--scheme", "tled", "--order", "16",
+                        "--fde", "off", "--config", fast_config, "--seed", "4",
+                        "--dt-list", "0.1,1.0", "--out", str(sweep)]) == 0
+        assert cli.run(["table1", "--entries", "tled:16:0.1:none,tled:16:1.0:none",
+                        "--config", fast_config, "--seed", "4",
+                        "--out", str(table)]) == 0
+        assert sweep.read_bytes() == table.read_bytes()
+
 
 class TestConfigPrecedence:
     def test_flags_override_file(self, tmp_path):
@@ -272,6 +313,7 @@ class TestConfigValues:
         ("[1, 2]\n", "top level must be a mapping"),
         ("scheme: [\n", "not valid YAML"),
         ("n_taps: 8\n", "unknown key 'n_taps'"),
+        ("symbol_rate: 24.0e+6\n", "unknown key 'symbol_rate'"),
     ])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, text,
                                               message):
