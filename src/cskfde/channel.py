@@ -87,60 +87,45 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def disperse(x: np.ndarray, taps: np.ndarray, zi: np.ndarray):
-    """Per-band linear convolution of a running stream with the channel taps.
-
-    ``x`` is (n_samples, n_bands) and ``zi`` the (len(taps) - 1, n_bands)
-    state a previous call returned, or zeros at the start of a stream.
-    Returns (y, zf) with y shaped like x.  The arithmetic is that of the FIR
-    branch of ``scipy.signal.lfilter(taps, [1.0], x, axis=0, zi=zi)``: one
-    ``np.convolve(taps, band)`` per band in the common dtype, ``zi`` added to
-    the first len(taps) - 1 rows, then a split into output and state, so
-    the results are bitwise equal to lfilter's.
+def disperse(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Per-band convolution of (n_samples, n_bands) rows with the taps, from
+    rest: row i is sum_k taps[k] * x[i - k] over the rows of ``x`` only.
+    One ``np.convolve(taps, band)`` per band in the common dtype, cut to the
+    input length: bit for bit scipy's ``lfilter(taps, [1.0], x, axis=0)``.
     """
-    zi = np.asarray(zi)
-    dtype = np.result_type(taps, x, zi)
+    dtype = np.result_type(taps, x)
     taps = np.asarray(taps, dtype=dtype)
     x = np.asarray(x, dtype=dtype)
-    memory = len(taps) - 1
-    if x.ndim != 2 or zi.shape != (memory, x.shape[1]):
-        raise DimensionMismatch(
-            f"filter state {zi.shape} does not match taps {len(taps)} "
-            f"and input {x.shape}")
-    n_samples = x.shape[0]
-    full = np.empty((n_samples + memory, x.shape[1]), dtype=dtype)
+    if x.ndim != 2:
+        raise DimensionMismatch(f"input {x.shape} is not (samples, bands)")
+    full = np.empty((len(x) + len(taps) - 1, x.shape[1]), dtype=dtype)
     for band in range(x.shape[1]):
         full[:, band] = np.convolve(taps, x[:, band])
-    full[:memory] += zi
-    return full[:n_samples], full[n_samples:].copy()
+    return full[:len(x)]
 
 
 def apply_channel(tx: np.ndarray, model: ChannelModel, g_matrix: np.ndarray,
-                  noise: NoiseModel, seed=0, zi=None, rng=None):
+                  noise: NoiseModel, seed=0, rng=None):
     """Propagate per-band symbol streams through the diffuse channel.
 
     ``tx`` is (n_samples, n_bands).  Each band sees the same dispersion taps
-    (linear convolution over the running stream), the CIL matrix mixes bands
-    per sample, then i.i.d. Gaussian noise is added at each detector.
-    Passing ``zi`` (and reusing the returned filter state) continues one
-    stream across successive calls.  Deterministic for a fixed seed.
+    (linear convolution from rest), the CIL matrix mixes bands per sample,
+    then i.i.d. Gaussian noise is added at each detector.  Returns (rx, None):
+    no state is carried between calls.  Deterministic for a fixed seed.
     """
     tx = np.atleast_2d(np.asarray(tx, dtype=float))
     n_bands = tx.shape[1]
     if g_matrix.shape != (n_bands, n_bands):
         raise DimensionMismatch(
             f"CIL matrix {g_matrix.shape} does not match {n_bands} bands")
-    if zi is None:
-        zi = np.zeros((len(model.taps) - 1, n_bands))
-    dispersed, zf = disperse(tx, model.taps, zi)
-    rx = dispersed @ g_matrix.T
+    rx = disperse(tx, model.taps) @ g_matrix.T
     if noise.sigma > 0:
         gen = rng if rng is not None else make_rng(seed)
         # the simulator's noise expression, sigma * standard_normal
         draw = gen.standard_normal(rx.shape)
         draw *= noise.sigma
         rx += draw
-    return rx, zf
+    return rx, None
 
 
 def cil_inverse(g_matrix, n_bands: int) -> np.ndarray:

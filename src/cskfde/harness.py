@@ -145,7 +145,8 @@ def data_rate(order: int, n: int = ExperimentConfig.n, cp: int = ExperimentConfi
               symbol_rate: float = 24e6) -> float:
     """Payload bit rate (N / (N + L)) * Rs * log2(M); cp = 0 gives the unframed
     rate.  Rs is used nowhere else: Dt is normalised to the bit time."""
-    if order < 2 or n < 1 or cp < 0 or symbol_rate <= 0:
+    if (order < 2 or not float(np.log2(order)).is_integer() or n < 1 or cp < 0
+            or not (np.isfinite(symbol_rate) and symbol_rate > 0)):
         raise InvalidParameter("invalid rate parameters")
     return (n / (n + cp)) * symbol_rate * np.log2(order)
 
@@ -259,6 +260,9 @@ class LinkSimulator:
     uniform random bits, and errors are counted by label XOR.  The first
     block of every stream is a warm-up excluded from error counting.
 
+    Blocks are independent: each chunk is dispersed from rest, and a block's
+    payload depends only on that block, since L >= ``N_TAPS`` - 1 if Dt > 0.
+
     The run works in chunks of blocks on two threads.  A one-worker
     ``ThreadPoolExecutor`` alone uses the Philox generator: it draws each
     chunk's symbol indices, then its scaled noise, with the calls and in
@@ -334,7 +338,6 @@ class LinkSimulator:
         sizes = _chunk_sizes(int(np.ceil(n_bits / (self.k * n))), chunk_blocks)
         errors = 0
         bits = 0
-        zi = np.zeros((len(self.taps) - 1, bands), dtype=self.dtype)
         warmup = 1  # first block of the stream is not counted
         rng, order = chan.make_rng(seed), self.constellation.order
         pool = ThreadPoolExecutor(1, thread_name_prefix="cskfde-draws")
@@ -350,7 +353,8 @@ class LinkSimulator:
                 if nb_next:
                     symbols = _draw_symbols(pool, rng, nb_next, n, order)
                 tx = self.points[tx_idx].reshape(nb, n, bands)
-                dispersed, zi = chan.disperse(modem.frame(tx, cp), self.taps, zi)
+                # held to the next chunk, whose buffer then reuses its pages
+                dispersed = chan.disperse(modem.frame(tx, cp), self.taps)
                 rx = dispersed @ self.g.T
                 if sigma > 0:
                     rx += _ready(noise)
@@ -400,8 +404,7 @@ def run_ber_point(config: ExperimentConfig, snr_o_db: float,
     errors, bits, censored = sim.run(
         sigma, config.max_bits, config.seed if seed is None else seed,
         stop_target=stop_target)
-    ber = errors / bits if bits else 0.0
-    return BerPoint(snr_o_db, ber, bits, errors, censored)
+    return BerPoint(snr_o_db, errors / bits, bits, errors, censored)
 
 
 def run_ber_curve(config: ExperimentConfig, snr_grid: Sequence[float],

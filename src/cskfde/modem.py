@@ -22,8 +22,7 @@ def frame(tx_blocks, cp: int) -> np.ndarray:
     n_blocks, n, n_bands = tx_blocks.shape
     if not 0 <= cp <= n:
         raise InvalidPrefix(f"prefix {cp} outside 0..{n}, the payload length")
-    framed = np.concatenate([tx_blocks[:, n - cp:], tx_blocks], axis=1) \
-        if cp else tx_blocks
+    framed = np.concatenate([tx_blocks[:, n - cp:], tx_blocks], axis=1)
     return framed.reshape(n_blocks * (n + cp), n_bands)
 
 

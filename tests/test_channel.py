@@ -11,6 +11,7 @@ from scipy.signal import lfilter
 
 import cskfde
 from cskfde import channel as chan
+from cskfde import modem
 from cskfde.errors import DimensionMismatch, InvalidParameter, SingularMatrix
 
 
@@ -76,29 +77,44 @@ class TestDisperse:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("order", [4, 16, 64, 4096])
     @pytest.mark.parametrize("dt", [0.0, 0.1, 0.5, 1.0])
-    def test_bitwise_equal_to_lfilter_over_chained_calls(self, dt, order, dtype):
+    def test_bitwise_equal_to_lfilter_over_chained_calls(self, dt, order,
+                                                         dtype):
+        """A run of calls, as on successive chunks, the last repeating the
+        first input: each is bitwise equal to lfilter from rest, so nothing
+        passes from one call to the next."""
         taps = chan.discretize_impulse_response(dt, order).astype(dtype)
         rng = np.random.default_rng(order)
-        zi_want = zi_got = np.zeros((len(taps) - 1, 4), dtype=dtype)
-        for n_samples in (1000, 7, 1500):
-            x = rng.random((n_samples, 4)).astype(dtype)
+        inputs = [rng.random((n_samples, 4)).astype(dtype)
+                  for n_samples in (1000, 7, 1500)]
+        for x in inputs + inputs[:1]:
             x[:, 2] = 0.0  # a band held at zero
-            want, zi_want = lfilter(taps, np.array([1.0], dtype=dtype), x,
-                                    axis=0, zi=zi_want)
-            got, zi_got = chan.disperse(x, taps, zi_got)
-            assert got.dtype == want.dtype and zi_got.dtype == zi_want.dtype
+            want = lfilter(taps, np.array([1.0], dtype=dtype), x, axis=0)
+            got = chan.disperse(x, taps)
+            assert got.dtype == want.dtype and got.shape == x.shape
             assert np.array_equal(got, want)
-            assert np.array_equal(zi_got, zi_want)
 
     def test_single_tap_passes_through(self):
         x = np.random.default_rng(0).random((10, 3))
-        y, zf = chan.disperse(x, np.array([1.0]), np.zeros((0, 3)))
-        np.testing.assert_array_equal(y, x)
-        assert zf.shape == (0, 3)
+        np.testing.assert_array_equal(chan.disperse(x, np.array([1.0])), x)
 
-    def test_state_shape_mismatch(self):
+    def test_input_must_be_samples_by_bands(self):
         with pytest.raises(DimensionMismatch):
-            chan.disperse(np.zeros((5, 4)), np.ones(3) / 3, np.zeros((3, 4)))
+            chan.disperse(np.zeros(5), np.ones(3) / 3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dt,order,cp", [(0.0, 4, 0), (0.1, 64, 7),
+                                             (0.5, 16, 8), (1.0, 4, 16)])
+    def test_blocks_are_independent(self, dt, order, cp, dtype):
+        """With L >= N_TAPS - 1, the payload rows of a dispersed framed stack
+        equal those of each block framed and dispersed alone."""
+        taps = chan.discretize_impulse_response(dt, order).astype(dtype)
+        nb, n, bands = 5, 32, 4
+        stack = np.random.default_rng(cp).random((nb, n, bands)).astype(dtype)
+        together = chan.disperse(modem.frame(stack, cp), taps)
+        payload = together.reshape(nb, n + cp, bands)[:, cp:]
+        for block, got in zip(stack, payload):
+            alone = chan.disperse(modem.frame(block[None], cp), taps)
+            assert np.array_equal(got, alone[cp:])
 
 
 def test_import_leaves_scipy_signal_out():

@@ -37,8 +37,14 @@ class TestDataRate:
         assert harness.data_rate(64) / harness.data_rate(64, cp=0) == pytest.approx(64 / 72)
 
     def test_validation(self):
-        with pytest.raises(InvalidParameter):
-            harness.data_rate(1)
+        """The order must be a power of two >= 2 and the symbol rate finite
+        and > 0."""
+        for args in [(1,), (5,), (12,), (0,), (-4,), (float("nan"),),
+                     (float("inf"),), (16, 64, 8, float("nan")),
+                     (16, 64, 8, float("inf")), (16, 64, 8, 0.0),
+                     (16, 64, 8, -24e6), (16, 0), (16, 64, -1)]:
+            with pytest.raises(InvalidParameter):
+                harness.data_rate(*args)
 
 
 class TestOokReference:
@@ -186,14 +192,13 @@ def _module_chain(sim, sigma, seed, chunk_sizes):
     rng = chan.make_rng(seed)
     model = chan.ChannelModel.from_parameters(cfg.dt, cfg.order)
     zfe = fde.build_zfe(model.taps, n)
-    zi = None
     errors = counted = 0
     for chunk, nb in enumerate(chunk_sizes):
         tx_idx = rng.integers(0, cfg.order, size=nb * n)
         tx = constellation.intensities[tx_idx].reshape(nb, n, 4)
         serial = np.concatenate([modem.frame(block[None], cp) for block in tx])
-        rx, zi = chan.apply_channel(serial, model, chan.G_QLED,
-                                    chan.NoiseModel(sigma), zi=zi, rng=rng)
+        rx, _ = chan.apply_channel(serial, model, chan.G_QLED,
+                                   chan.NoiseModel(sigma), rng=rng)
         rx = chan.calibrate(rx, chan.G_QLED).reshape(nb, n + cp, 4)
         # block 0 of the stream is the warm-up, never counted
         for b in range(1 if chunk == 0 else 0, nb):
@@ -225,7 +230,7 @@ class TestFastPathAgainstPublicOps:
     def test_float64_simulator_matches_module_chain_across_chunks(self, fde_on):
         """Six counted blocks in chunks of four: the warm-up block, three
         counted blocks, then a second chunk of three that continues the
-        first chunk's dispersion state and random stream."""
+        first chunk's random stream."""
         sim = harness.LinkSimulator(fast_cfg(dt=1.0, order=16, fde=fde_on),
                                     dtype=np.float64)
         errors, bits, censored = sim.run(0.02, 6 * 64 * sim.k, 5,
