@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -36,26 +35,19 @@ _DET_EPS = 1e-12
 _GAMUT_EPS = 1e-9
 
 
-class Chromaticity(NamedTuple):
-    """CIE 1931 xy chromaticity coordinates."""
-
-    x: float
-    y: float
-
-
-def _validate_chromaticity(c) -> Chromaticity:
+def _validate_chromaticity(c) -> None:
     x, y = float(c[0]), float(c[1])
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 and x + y <= 1.0 + 1e-12):
         raise OutsideGamut(f"({x}, {y}) is not a valid CIE 1931 coordinate")
-    return Chromaticity(x, y)
 
 
-# IEEE 802.15.7 colour-band centre chromaticities used as shipped defaults.
-# Band centres: 429 nm (B), 509 nm (C), 564 nm (Y), 656 nm (R).
-BAND_B = Chromaticity(0.169, 0.007)
-BAND_C = Chromaticity(0.011, 0.733)
-BAND_Y = Chromaticity(0.402, 0.597)
-BAND_R = Chromaticity(0.729, 0.271)
+# IEEE 802.15.7 colour-band centre chromaticities (CIE 1931 x, y) used as
+# shipped defaults.  Band centres: 429 nm (B), 509 nm (C), 564 nm (Y),
+# 656 nm (R).
+BAND_B = (0.169, 0.007)
+BAND_C = (0.011, 0.733)
+BAND_Y = (0.402, 0.597)
+BAND_R = (0.729, 0.271)
 
 
 @dataclass(frozen=True)
@@ -110,13 +102,10 @@ def _triad_det(xy):
 
 
 def _is_convex(quad) -> bool:
-    n = len(quad)
-    signs = []
-    for i in range(n):
-        a, b, c = quad[i], quad[(i + 1) % n], quad[(i + 2) % n]
-        cr = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        signs.append(cr)
-    return all(s < -_DET_EPS for s in signs) or all(s > _DET_EPS for s in signs)
+    """Whether every consecutive vertex triple turns the same way."""
+    signs = _triad_det(np.stack([quad, np.roll(quad, -1, axis=0),
+                                 np.roll(quad, -2, axis=0)], axis=1))
+    return bool((signs < -_DET_EPS).all() or (signs > _DET_EPS).all())
 
 
 def _mix_intensities(targets, triads_xy) -> np.ndarray:

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import fields
 
 import numpy as np
-import yaml
 
 from .colorimetry import QLED, TLED, SourceSet
 from .errors import InvalidConfig
@@ -29,6 +28,7 @@ def _check_keys(mapping: dict, accepted, where: str = "") -> None:
 
 def load_config(stream) -> dict:
     """The top-level mapping of an open YAML text stream, with known keys only."""
+    import yaml  # here, so that only a run that reads a --config file loads it
     try:
         data = yaml.safe_load(stream) or {}
     except yaml.YAMLError as exc:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, get_type_hints
 
@@ -238,7 +238,6 @@ def _ready(job) -> np.ndarray:
     """The buffer of a queued draw once all its slices are in; a draw error
     is raised here, in the caller."""
     out, tasks = job
-    wait(tasks[-1:])  # the tasks run in order, so the last one ends last
     for task in tasks:
         task.result()
     return out
@@ -277,8 +276,9 @@ class LinkSimulator:
     (:func:`modem.trust_thresholds`) provably detects as that point, so only
     the other rows go through the full metric (:func:`modem.nearest_points`).
     The decisions, and so the bit errors, are those of the full metric on
-    every row.  A bad CIL matrix raises DimensionMismatch or SingularMatrix
-    at construction, before any run starts.
+    every row.  A bad CIL matrix raises DimensionMismatch or SingularMatrix,
+    and a constellation of another (scheme, M) than the config's raises
+    InvalidParameter, at construction, before any run starts.
     """
 
     def __init__(self, config: ExperimentConfig,
@@ -288,6 +288,10 @@ class LinkSimulator:
         self.config = config
         self.constellation = constellation or colorimetry.build_constellation(
             config.scheme, config.order)
+        built = (self.constellation.scheme, self.constellation.order)
+        if built != (config.scheme, config.order):
+            raise InvalidParameter(f"constellation {built} does not match the "
+                                   f"config's {(config.scheme, config.order)}")
         if g_matrix is None:
             g_matrix = chan.G_TLED if self.constellation.scheme == colorimetry.TLED \
                 else chan.G_QLED

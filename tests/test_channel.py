@@ -117,16 +117,37 @@ class TestDisperse:
             assert np.array_equal(got, alone[cp:])
 
 
-def test_import_leaves_scipy_signal_out():
-    """scipy.signal costs about a second of import time and is not used."""
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports these sources."""
     src = str(Path(cskfde.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    code = "import sys, cskfde; print('scipy.signal' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_signal_out():
+    """scipy.signal costs about a second of import time and is not used."""
+    code = ("import sys\n"
+            "import cskfde.channel, cskfde.colorimetry, cskfde.config\n"
+            "import cskfde.errors, cskfde.fde, cskfde.harness, cskfde.modem\n"
+            "import cskfde.cli\n"
+            "print('scipy.signal' in sys.modules)")
+    assert _fresh_python(code) == "False"
+
+
+def test_package_import_loads_no_module():
+    """Names are imported from their modules; the package re-exports none."""
+    code = ("import sys, cskfde\n"
+            "print(sorted(m for m in sys.modules if m.startswith('cskfde.')))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_yaml_is_loaded_only_to_read_a_config_file():
+    code = "import sys, cskfde.cli; print('yaml' in sys.modules)"
+    assert _fresh_python(code) == "False"
 
 
 class TestApplyChannel:

@@ -280,6 +280,17 @@ class TestBadCilMatrix:
         assert threading.active_count() == start
 
 
+@pytest.mark.parametrize("scheme,order", [("qled", 64), ("tled", 4)])
+def test_constellation_must_match_the_config(scheme, order):
+    """The taps follow the config's M and the symbols the constellation's,
+    so a constellation of another (scheme, M) fails at construction."""
+    start = threading.active_count()
+    with pytest.raises(InvalidParameter, match="does not match"):
+        harness.LinkSimulator(fast_cfg(dt=1.0),
+                              col.build_constellation(scheme, order))
+    assert threading.active_count() == start
+
+
 class TestFindPowerRequirement:
     def test_bisected_threshold_brackets_target(self):
         cfg = fast_cfg(target_ber=1e-3)
