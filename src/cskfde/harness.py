@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import csv
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
@@ -204,19 +205,23 @@ def _chunk_sizes(n_blocks_total: int, chunk_blocks: int) -> list:
     return sizes
 
 
-def _draw(pool, out: np.ndarray, rows_per_block: int, fill):
-    """Queue ``fill`` on each ``_SLICE_BLOCKS``-block slice of ``out``.
+def _draw(pool, out: np.ndarray, rows_per_block: int, fill) -> list:
+    """Queue ``fill`` on each ``_SLICE_BLOCKS``-block slice of ``out``, one
+    task per slice; each task returns its slice.
 
     Philox fills are slice-invariant, and the pool's one worker runs tasks
     first in, first out, so the slices get the values of one serial call.
-    Returns ``(out, tasks)`` for :func:`_ready`.
     """
     step = _SLICE_BLOCKS * rows_per_block
-    return out, [pool.submit(fill, out[start:start + step])
-                 for start in range(0, len(out), step)]
+
+    def task(part):
+        fill(part)
+        return part
+    return [pool.submit(task, out[start:start + step])
+            for start in range(0, len(out), step)]
 
 
-def _draw_symbols(pool, rng, nb: int, n: int, order: int):
+def _draw_symbols(pool, rng, nb: int, n: int, order: int) -> list:
     """Queue the serial loop's ``rng.integers(0, order, size=nb * n)``."""
     def fill(part):
         part[:] = rng.integers(0, order, size=len(part))
@@ -224,7 +229,7 @@ def _draw_symbols(pool, rng, nb: int, n: int, order: int):
 
 
 def _draw_noise(pool, rng, nb: int, rows_per_block: int, n_bands: int,
-                sigma: float, dtype):
+                sigma: float, dtype) -> list:
     """Queue the serial loop's ``sigma * rng.standard_normal(shape, dtype)``
     in that product's dtype: a numpy float64 sigma promotes it to float64."""
     def fill(part):
@@ -232,15 +237,6 @@ def _draw_noise(pool, rng, nb: int, rows_per_block: int, n_bands: int,
     out = np.empty((nb * rows_per_block, n_bands),
                    dtype=np.result_type(sigma, dtype))
     return _draw(pool, out, rows_per_block, fill)
-
-
-def _ready(job) -> np.ndarray:
-    """The buffer of a queued draw once all its slices are in; a draw error
-    is raised here, in the caller."""
-    out, tasks = job
-    for task in tasks:
-        task.result()
-    return out
 
 
 class LinkSimulator:
@@ -265,12 +261,15 @@ class LinkSimulator:
     The run works in chunks of blocks on two threads.  A one-worker
     ``ThreadPoolExecutor`` alone uses the Philox generator: it draws each
     chunk's symbol indices, then its scaled noise, with the calls and in
-    the order of a serial loop, one task per ``_SLICE_BLOCKS`` slice.  The
-    calling thread maps, frames, disperses and mixes a chunk while that
-    chunk's noise is drawn, then calibrates, equalises and detects it while
-    the next chunk is drawn.  The results are those of the serial loop, bit
-    for bit.  The run shuts the pool down on every exit, cancelling the
-    draws not yet started, so no thread outlives the call.
+    the order of a serial loop, one task per ``_SLICE_BLOCKS`` slice.  Each
+    slice is also a tile, which one thread takes through the whole chain.
+    The calling thread claims the chunk's tiles in order as their noise
+    lands; a task queued behind the chunk's noise lets the worker claim the
+    tiles left once its draws are done.  Blocks are independent, so the
+    errors summed over the tiles are those of the serial loop, bit for bit.
+    The stop rule is checked once per chunk.  The run shuts the pool down on
+    every exit, cancelling the tasks not yet started, so no thread outlives
+    the call.
 
     Detection is screened: a row within the trust radius of its sent point
     (:func:`modem.trust_thresholds`) provably detects as that point, so only
@@ -329,6 +328,14 @@ class LinkSimulator:
         against ``stop_target`` ended it first.  Raises InvalidParameter,
         before any thread starts, unless ``n_bits``, ``min_bit_errors`` and
         ``chunk_blocks`` are >= 1 and ``sigma`` is finite and >= 0.
+
+        Schedule: per chunk the worker's queue holds the index slices, the
+        noise slices, then its share of the chunk's tiles; the next chunk's
+        three are queued as the caller starts on this one.  Both threads
+        claim the tiles in order, and an error in a tile on either
+        thread stops the other's claims at its current tile and is raised
+        here.  On any exit the run waits for at most one tile and one slice
+        in progress.
         """
         cfg = self.config
         n, cp, bands = cfg.n, cfg.cp, self.n_bands
@@ -345,35 +352,49 @@ class LinkSimulator:
         warmup = 1  # first block of the stream is not counted
         rng, order = chan.make_rng(seed), self.constellation.order
         pool = ThreadPoolExecutor(1, thread_name_prefix="cskfde-draws")
+        stop = threading.Event()  # once set, no thread claims another tile
+
+        def queue(nb, skip):
+            """Queue a chunk's draws in the serial loop's order, then the
+            worker's share of its tiles; tile 0 does not count its first
+            ``skip`` rows.  Returns the caller's share and the worker's."""
+            symbols = _draw_symbols(pool, rng, nb, n, order)
+            noise = (_draw_noise(pool, rng, nb, n + cp, bands, sigma, self.dtype)
+                     if sigma > 0 else [None] * len(symbols))
+            tiles = zip(symbols, noise, [skip] + [0] * (len(symbols) - 1))
+            lock = threading.Lock()
+
+            def claim():
+                with lock:
+                    return None if stop.is_set() else next(tiles, None)
+
+            def share():
+                """Run claimed tiles until none is left or ``stop`` is set;
+                returns their summed (errors, suspects).  A failed tile sets
+                ``stop``, so the other thread ends at its current tile."""
+                n_errors = n_suspects = 0
+                try:
+                    for tile in iter(claim, None):
+                        tile_errors, tile_suspects = self._tile(*tile)
+                        n_errors += tile_errors
+                        n_suspects += tile_suspects
+                except BaseException:
+                    stop.set()
+                    raise
+                return n_errors, n_suspects
+            return share, pool.submit(share) if len(symbols) > 1 else None
+
         try:
-            # queued in the serial loop's order: per chunk the indices, then
-            # the noise; the next chunk's draw is queued as this one is taken
-            symbols = _draw_symbols(pool, rng, sizes[0], n, order)
-            if sigma > 0:
-                noise = _draw_noise(pool, rng, sizes[0], n + cp, bands, sigma,
-                                    self.dtype)
+            chunk = queue(sizes[0], n)  # tile 0 skips the warm-up block
             for nb, nb_next in zip(sizes, sizes[1:] + [0]):
-                tx_idx = _ready(symbols)
+                share, helper = chunk
                 if nb_next:
-                    symbols = _draw_symbols(pool, rng, nb_next, n, order)
-                tx = self.points[tx_idx].reshape(nb, n, bands)
-                # held to the next chunk, whose buffer then reuses its pages
-                dispersed = chan.disperse(modem.frame(tx, cp), self.taps)
-                rx = dispersed @ self.g.T
-                if sigma > 0:
-                    rx += _ready(noise)
-                    if nb_next:
-                        noise = _draw_noise(pool, rng, nb_next, n + cp, bands,
-                                            sigma, self.dtype)
-                rx = rx @ self.g_inv.T
-                payload = rx.reshape(nb, n + cp, bands)[:, cp:]
-                if cfg.fde:
-                    payload = fde.equalize(payload, self.zfe_half)
-                first = n * warmup  # the warm-up block is not counted
-                chunk_errors, suspects = modem.count_bit_errors(
-                    payload.reshape(nb * n, bands)[first:],
-                    tx.reshape(nb * n, bands)[first:], tx_idx[first:],
-                    self.trust_sq, self.ct, self.half_norms, self.labels)
+                    chunk = queue(nb_next, 0)
+                chunk_errors, suspects = share()
+                if helper is not None:
+                    more_errors, more_suspects = helper.result()
+                    chunk_errors += more_errors
+                    suspects += more_suspects
                 counted = nb - warmup
                 warmup = 0
                 self.detected_rows += counted * n
@@ -391,8 +412,28 @@ class LinkSimulator:
                                             and lo > stop_target):
                         return errors, bits, False
         finally:
+            stop.set()
             pool.shutdown(cancel_futures=True)
         return errors, bits, errors < min_errors
+
+    def _tile(self, symbols, noise, skip: int):
+        """(errors, suspects) of one tile, the blocks of one draw slice:
+        the tasks ``symbols`` and ``noise`` (None when sigma = 0) give its
+        indices and noise.  The first ``skip`` rows are not counted."""
+        n, cp, bands = self.config.n, self.config.cp, self.n_bands
+        tx_idx = symbols.result()
+        nb = len(tx_idx) // n
+        tx = self.points[tx_idx].reshape(nb, n, bands)
+        rx = chan.disperse(modem.frame(tx, cp), self.taps) @ self.g.T
+        if noise is not None:
+            rx += noise.result()
+        rx = rx @ self.g_inv.T
+        payload = rx.reshape(nb, n + cp, bands)[:, cp:]
+        if self.config.fde:
+            payload = fde.equalize(payload, self.zfe_half)
+        return modem.count_bit_errors(
+            payload.reshape(nb * n, bands)[skip:], tx.reshape(nb * n, bands)[skip:],
+            tx_idx[skip:], self.trust_sq, self.ct, self.half_norms, self.labels)
 
 
 def run_ber_point(config: ExperimentConfig, snr_o_db: float,
@@ -402,8 +443,13 @@ def run_ber_point(config: ExperimentConfig, snr_o_db: float,
 
     Runs until ``min_bit_errors`` errors or ``max_bits`` bits; a point that
     hits the bit budget first is flagged censored.  Deterministic per seed.
+    A ``simulator`` built for a config that differs from ``config`` in more
+    than ``max_bits`` and ``seed`` raises InvalidParameter.
     """
     sim = simulator or LinkSimulator(config)
+    built = sim.config
+    if replace(config, max_bits=built.max_bits, seed=built.seed) != built:
+        raise InvalidParameter(f"simulator built for {built}, not for {config}")
     sigma = sigma_from_snr(snr_o_db)
     errors, bits, censored = sim.run(
         sigma, config.max_bits, config.seed if seed is None else seed,

@@ -1,8 +1,25 @@
 """Fixtures shared by the test modules."""
 
 import threading
+import time
 
 import pytest
+
+from cskfde import harness
+
+
+def _draw_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("cskfde-draws")}
+
+
+@pytest.fixture(autouse=True)
+def no_draw_thread_left():
+    """Fail any test that leaves a ``cskfde-draws`` worker alive: every exit
+    of ``LinkSimulator.run`` joins its pool before it returns or raises."""
+    before = _draw_threads()
+    yield
+    left = sorted(t.name for t in _draw_threads() - before)
+    assert not left, f"draw threads left running: {left}"
 
 
 @pytest.fixture()
@@ -16,3 +33,26 @@ def started_threads(monkeypatch):
         start(self)
     monkeypatch.setattr(threading.Thread, "start", recording_start)
     return names
+
+
+@pytest.fixture()
+def tile_threads(monkeypatch):
+    """``record(delay)`` wraps ``LinkSimulator._tile`` and returns the list it
+    fills: per tile run, which thread ran it ("caller", the thread that asked
+    for the fixture, or "worker") and the rows it skipped.  The caller waits
+    ``delay`` s before each of its tiles, so that the worker claims some."""
+    caller = threading.current_thread()
+    tile = harness.LinkSimulator._tile
+
+    def record(delay):
+        ran = []
+
+        def recording(sim, symbols, noise, skip):
+            on_caller = threading.current_thread() is caller
+            ran.append(("caller" if on_caller else "worker", skip))
+            if on_caller:
+                time.sleep(delay)
+            return tile(sim, symbols, noise, skip)
+        monkeypatch.setattr(harness.LinkSimulator, "_tile", recording)
+        return ran
+    return record

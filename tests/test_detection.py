@@ -8,6 +8,7 @@ stop rule's meaning of ``censored``: a run that stops decisively below
 ``stop_target`` is not censored, so that return reads False.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -125,9 +126,12 @@ def test_one_block_chunks_equal_full_metric(scheme, order, fde_on):
 
 
 @pytest.mark.parametrize("slice_blocks", [1, 512])
-def test_stop_in_mid_stream_equals_full_metric(monkeypatch, slice_blocks):
-    """A decisive stop with the draw thread mid-chunk, and mid-slice."""
+def test_stop_in_mid_stream_equals_full_metric(monkeypatch, tile_threads,
+                                               slice_blocks):
+    """A decisive stop with the draw thread mid-chunk, and mid-slice; with
+    one-block slices both threads run tiles of the chunks."""
     monkeypatch.setattr(harness, "_SLICE_BLOCKS", slice_blocks)
+    ran_on = tile_threads(delay=0.001)
     cfg = harness.ExperimentConfig(scheme="qled", order=16, dt=1.0)
     sim = harness.LinkSimulator(cfg)
     n_bits = 200 * cfg.n * sim.k
@@ -137,6 +141,49 @@ def test_stop_in_mid_stream_equals_full_metric(monkeypatch, slice_blocks):
         got = sim.run(*args, **kwargs)
         assert got == reference_run(sim, *args, **kwargs)
         assert 6 * cfg.n * sim.k < got[1] < n_bits, (snr, got)
+    ran_by = {who for who, _ in ran_on}
+    assert ran_by == ({"caller", "worker"} if slice_blocks == 1 else {"caller"})
+
+
+@pytest.mark.parametrize("slice_blocks,chunk_blocks", [(1, 5), (2, 7), (2, 6)])
+@pytest.mark.parametrize("fde_on,dtype", [(True, np.float32),
+                                          (False, np.float32),
+                                          (True, np.float64)])
+def test_tiles_run_by_both_threads_equal_full_metric(
+        monkeypatch, tile_threads, slice_blocks, chunk_blocks, fde_on, dtype):
+    monkeypatch.setattr(harness, "_SLICE_BLOCKS", slice_blocks)
+    ran_on = tile_threads(delay=0.001)
+    cfg = harness.ExperimentConfig(scheme="qled", order=16, dt=1.0, fde=fde_on)
+    sim = harness.LinkSimulator(cfg, dtype=dtype)
+    _assert_matches_reference(sim, chunk_blocks=chunk_blocks)
+    _assert_matches_reference(sim, seeds=(3,), chunk_blocks=chunk_blocks,
+                              stop_target=1e-3, min_bit_errors=20)
+    assert {who for who, _ in ran_on} == {"caller", "worker"}
+
+
+@pytest.mark.parametrize("snr", [None, 16.0])
+def test_worker_run_warmup_tile_equals_full_metric(monkeypatch, tile_threads,
+                                                   snr):
+    """The caller is held as it queues the second chunk, so the worker takes
+    the tiles of the first, the warm-up block with them."""
+    monkeypatch.setattr(harness, "_SLICE_BLOCKS", 2)
+    ran_on = tile_threads(delay=0.0)
+    draw_symbols, queued = harness._draw_symbols, []
+
+    def held_second_queue(*args):
+        tasks = draw_symbols(*args)
+        queued.append(None)
+        if len(queued) == 2:
+            time.sleep(0.2)
+        return tasks
+    monkeypatch.setattr(harness, "_draw_symbols", held_second_queue)
+    cfg = harness.ExperimentConfig(scheme="qled", order=16, dt=1.0)
+    sim = harness.LinkSimulator(cfg)
+    args = (0.0 if snr is None else harness.sigma_from_snr(snr),
+            12 * cfg.n * sim.k, 5)
+    assert sim.run(*args, chunk_blocks=5) == reference_run(sim, *args,
+                                                           chunk_blocks=5)
+    assert ("worker", cfg.n) in ran_on
 
 
 def test_numpy_float64_sigma_equals_full_metric():

@@ -183,6 +183,20 @@ class TestRunBerPoint:
         assert point.errors >= cfg.min_bit_errors
         assert point.bits < cfg.max_bits
 
+    def test_simulator_of_another_config_is_refused(self):
+        sim = harness.LinkSimulator(fast_cfg(dt=1.0, fde=False))
+        with pytest.raises(InvalidParameter, match="simulator built for"):
+            harness.run_ber_point(fast_cfg(dt=1.0), 16.0, simulator=sim)
+        with pytest.raises(InvalidParameter, match="simulator built for"):
+            harness.run_ber_point(replace(sim.config, min_bit_errors=1), 16.0,
+                                  simulator=sim)
+
+    def test_simulator_takes_another_budget_and_seed(self):
+        sim = harness.LinkSimulator(fast_cfg(dt=1.0))
+        cfg = replace(sim.config, max_bits=4096, seed=3)
+        point = harness.run_ber_point(cfg, 12.0, simulator=sim)
+        assert point == harness.run_ber_point(cfg, 12.0)
+
 
 def _module_chain(sim, sigma, seed, chunk_sizes):
     """(errors, bits) of the link built from the per-block operations, with
@@ -373,11 +387,12 @@ class _Boom(RuntimeError):
 
 
 def _assert_no_thread_left(start, timeout=5.0):
+    """The thread count is back to ``start``; the autouse fixture of
+    conftest.py checks that no ``cskfde-draws`` worker is left."""
     deadline = time.monotonic() + timeout
     while threading.active_count() != start and time.monotonic() < deadline:
         time.sleep(0.01)
     assert threading.active_count() == start
-    assert not any(t.name.startswith("cskfde-draws") for t in threading.enumerate())
 
 
 class TestDrawPipeline:
@@ -436,8 +451,63 @@ class TestDrawPipeline:
                     chunk_blocks=3)
         _assert_no_thread_left(start)
 
-    def test_concurrent_runs_under_fast_switching(self):
-        """Three callers, each with its own draw thread, on two cores."""
+    def test_detection_error_in_a_worker_tile_reaches_the_caller(
+            self, monkeypatch, tile_threads):
+        caller = threading.current_thread()
+        count = modem.count_bit_errors
+
+        def boom_on_worker(*args):
+            if threading.current_thread() is not caller:
+                raise _Boom("worker tile failed")
+            return count(*args)
+        monkeypatch.setattr(modem, "count_bit_errors", boom_on_worker)
+        monkeypatch.setattr(harness, "_SLICE_BLOCKS", 1)
+        ran_on = tile_threads(delay=0.3)
+        start = threading.active_count()
+        sim = harness.LinkSimulator(fast_cfg(dt=1.0))
+        with pytest.raises(_Boom, match="worker tile failed"):
+            sim.run(harness.sigma_from_snr(12.0), 20 * 64 * sim.k, 1,
+                    chunk_blocks=6)
+        # the caller ran tile 0 alone; the worker failed on tile 1
+        assert sorted(who for who, _ in ran_on) == ["caller", "worker"]
+        _assert_no_thread_left(start)
+
+    def test_draw_error_in_a_worker_tile_reaches_the_caller(
+            self, monkeypatch, tile_threads):
+        make_rng = chan.make_rng
+
+        class FaultyRng:
+            """The real stream, failing at the third noise slice."""
+
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+                self.calls = 0
+
+            def integers(self, *args, **kwargs):
+                return self.rng.integers(*args, **kwargs)
+
+            def standard_normal(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 3:
+                    raise _Boom("noise draw failed")
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(chan, "make_rng", FaultyRng)
+        monkeypatch.setattr(harness, "_SLICE_BLOCKS", 1)
+        ran_on = tile_threads(delay=0.3)
+        start = threading.active_count()
+        sim = harness.LinkSimulator(fast_cfg(dt=1.0))
+        with pytest.raises(_Boom, match="noise draw failed"):
+            sim.run(harness.sigma_from_snr(20.0), 20 * 64 * sim.k, 1,
+                    chunk_blocks=6)
+        # the caller ran tile 0 alone; the worker ran tile 1 and failed on 2
+        assert sorted(who for who, _ in ran_on) == ["caller", "worker", "worker"]
+        _assert_no_thread_left(start)
+
+    def test_concurrent_runs_under_fast_switching(self, monkeypatch):
+        """Three callers, each with its own draw thread, on two cores; each
+        chunk's four one-block tiles are claimed by both of a run's threads."""
+        monkeypatch.setattr(harness, "_SLICE_BLOCKS", 1)
         sims = [harness.LinkSimulator(fast_cfg(dt=1.0)) for _ in range(3)]
         args = [(harness.sigma_from_snr(8.0 + i), 40 * 64 * 2, (4, i))
                 for i in range(3)]
@@ -546,7 +616,7 @@ class TestDrawPipeline:
                 if sigma > 0:
                     jobs.append(harness._draw_noise(pool, rng, nb, n + cp, bands,
                                                     sigma, dtype))
-            got = [harness._ready(job) for job in jobs]
+            got = [np.concatenate([task.result() for task in job]) for job in jobs]
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
