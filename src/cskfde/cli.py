@@ -141,8 +141,8 @@ def _cmd_ber_curve(args) -> int:
             lo, hi, step = (float(v) for v in args.snr_range.split(":"))
         except ValueError:
             raise UsageError("--snr-range must be lo:hi:step")
-        if not (np.isfinite([lo, hi, step]).all() and step > 0):
-            raise UsageError("--snr-range needs finite lo and hi and a step > 0")
+        if not (np.isfinite([lo, hi, step]).all() and lo <= hi and step > 0):
+            raise UsageError("--snr-range needs finite lo <= hi and a step > 0")
         grid.extend(np.arange(lo, hi + 1e-9, step).tolist())
     if not grid:
         raise UsageError("ber-curve needs --snr or --snr-range")

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import json
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, get_type_hints
@@ -40,8 +39,8 @@ from . import channel as chan
 from . import colorimetry, fde, modem
 from .errors import InvalidConfig, InvalidParameter, InvalidTarget, UnsupportedOrder
 
-# The draw worker fills each chunk in slices of this many blocks, one task
-# per slice, so a stop waits for at most one slice.
+# Each chunk's noise is drawn, and its blocks go through the chain, in
+# tiles of this many blocks, one task each, so a stop waits for at most one.
 _SLICE_BLOCKS = 512
 
 # The bisection's search range and its stopping bracket, in dB of SNR_o.
@@ -205,38 +204,24 @@ def _chunk_sizes(n_blocks_total: int, chunk_blocks: int) -> list:
     return sizes
 
 
-def _draw(pool, out: np.ndarray, rows_per_block: int, fill) -> list:
-    """Queue ``fill`` on each ``_SLICE_BLOCKS``-block slice of ``out``, one
-    task per slice; each task returns its slice.
+def _draw_noise(pool, rng, nb: int, rows_per_block: int, n_bands: int,
+                sigma: float, dtype) -> list:
+    """Queue the serial loop's ``sigma * rng.standard_normal(shape, dtype)``
+    in that product's dtype (a numpy float64 sigma promotes it to float64),
+    one task per ``_SLICE_BLOCKS``-block slice; each task returns its slice.
 
     Philox fills are slice-invariant, and the pool's one worker runs tasks
     first in, first out, so the slices get the values of one serial call.
     """
-    step = _SLICE_BLOCKS * rows_per_block
-
-    def task(part):
-        fill(part)
-        return part
-    return [pool.submit(task, out[start:start + step])
-            for start in range(0, len(out), step)]
-
-
-def _draw_symbols(pool, rng, nb: int, n: int, order: int) -> list:
-    """Queue the serial loop's ``rng.integers(0, order, size=nb * n)``."""
-    def fill(part):
-        part[:] = rng.integers(0, order, size=len(part))
-    return _draw(pool, np.empty(nb * n, dtype=np.int64), n, fill)
-
-
-def _draw_noise(pool, rng, nb: int, rows_per_block: int, n_bands: int,
-                sigma: float, dtype) -> list:
-    """Queue the serial loop's ``sigma * rng.standard_normal(shape, dtype)``
-    in that product's dtype: a numpy float64 sigma promotes it to float64."""
-    def fill(part):
-        np.multiply(rng.standard_normal(part.shape, dtype=dtype), sigma, out=part)
     out = np.empty((nb * rows_per_block, n_bands),
                    dtype=np.result_type(sigma, dtype))
-    return _draw(pool, out, rows_per_block, fill)
+    step = _SLICE_BLOCKS * rows_per_block
+
+    def fill(part):
+        np.multiply(rng.standard_normal(part.shape, dtype=dtype), sigma, out=part)
+        return part
+    return [pool.submit(fill, out[start:start + step])
+            for start in range(0, len(out), step)]
 
 
 class LinkSimulator:
@@ -260,16 +245,17 @@ class LinkSimulator:
 
     The run works in chunks of blocks on two threads.  A one-worker
     ``ThreadPoolExecutor`` alone uses the Philox generator: it draws each
-    chunk's symbol indices, then its scaled noise, with the calls and in
-    the order of a serial loop, one task per ``_SLICE_BLOCKS`` slice.  Each
-    slice is also a tile, which one thread takes through the whole chain.
-    The calling thread claims the chunk's tiles in order as their noise
-    lands; a task queued behind the chunk's noise lets the worker claim the
-    tiles left once its draws are done.  Blocks are independent, so the
-    errors summed over the tiles are those of the serial loop, bit for bit.
-    The stop rule is checked once per chunk.  The run shuts the pool down on
-    every exit, cancelling the tasks not yet started, so no thread outlives
-    the call.
+    chunk's symbol indices in one call, then its scaled noise in one task
+    per ``_SLICE_BLOCKS`` slice, with the calls and in the order of a serial
+    loop.  Each slice is also a tile, which one thread takes through the
+    whole chain: behind the chunk's noise the worker's queue holds one task
+    per tile, and the calling thread goes through the tiles in order, taking
+    back each task that ``Future.cancel()`` shows the worker has not started
+    and running it itself.  The worker runs the tiles it reaches first.
+    Blocks are independent, so the errors summed over the tiles are those of
+    the serial loop, bit for bit.  The stop rule is checked once per chunk.
+    The run shuts the pool down on every exit, cancelling the tasks not yet
+    started, so no thread outlives the call.
 
     Detection is screened: a row within the trust radius of its sent point
     (:func:`modem.trust_thresholds`) provably detects as that point, so only
@@ -329,13 +315,13 @@ class LinkSimulator:
         before any thread starts, unless ``n_bits``, ``min_bit_errors`` and
         ``chunk_blocks`` are >= 1 and ``sigma`` is finite and >= 0.
 
-        Schedule: per chunk the worker's queue holds the index slices, the
-        noise slices, then its share of the chunk's tiles; the next chunk's
-        three are queued as the caller starts on this one.  Both threads
-        claim the tiles in order, and an error in a tile on either
-        thread stops the other's claims at its current tile and is raised
-        here.  On any exit the run waits for at most one tile and one slice
-        in progress.
+        Schedule: per chunk the worker's queue holds the chunk's indices,
+        its noise slices, then one task per tile; the next chunk's are
+        queued as the caller starts on this one.  The caller runs each tile
+        whose task it cancels before the worker starts it, then collects the
+        worker's tiles, so an error in a tile or a draw on either thread is
+        raised here, a worker's when the caller collects that chunk.  On any
+        exit the run waits for at most one task in progress.
         """
         cfg = self.config
         n, cp, bands = cfg.n, cfg.cp, self.n_bands
@@ -352,49 +338,31 @@ class LinkSimulator:
         warmup = 1  # first block of the stream is not counted
         rng, order = chan.make_rng(seed), self.constellation.order
         pool = ThreadPoolExecutor(1, thread_name_prefix="cskfde-draws")
-        stop = threading.Event()  # once set, no thread claims another tile
 
         def queue(nb, skip):
-            """Queue a chunk's draws in the serial loop's order, then the
-            worker's share of its tiles; tile 0 does not count its first
-            ``skip`` rows.  Returns the caller's share and the worker's."""
-            symbols = _draw_symbols(pool, rng, nb, n, order)
+            """Queue a chunk's draws in the serial loop's order, then one
+            ``_tile`` task per draw slice; tile 0 does not count its first
+            ``skip`` rows.  Returns each tile's task and arguments."""
+            symbols = pool.submit(rng.integers, 0, order, size=nb * n)
+            starts = range(0, nb * n, _SLICE_BLOCKS * n)
             noise = (_draw_noise(pool, rng, nb, n + cp, bands, sigma, self.dtype)
-                     if sigma > 0 else [None] * len(symbols))
-            tiles = zip(symbols, noise, [skip] + [0] * (len(symbols) - 1))
-            lock = threading.Lock()
-
-            def claim():
-                with lock:
-                    return None if stop.is_set() else next(tiles, None)
-
-            def share():
-                """Run claimed tiles until none is left or ``stop`` is set;
-                returns their summed (errors, suspects).  A failed tile sets
-                ``stop``, so the other thread ends at its current tile."""
-                n_errors = n_suspects = 0
-                try:
-                    for tile in iter(claim, None):
-                        tile_errors, tile_suspects = self._tile(*tile)
-                        n_errors += tile_errors
-                        n_suspects += tile_suspects
-                except BaseException:
-                    stop.set()
-                    raise
-                return n_errors, n_suspects
-            return share, pool.submit(share) if len(symbols) > 1 else None
+                     if sigma > 0 else [None] * len(starts))
+            tiles = [(symbols, part, slice(start, start + _SLICE_BLOCKS * n),
+                      0 if start else skip) for start, part in zip(starts, noise)]
+            return [(pool.submit(self._tile, *tile), tile) for tile in tiles]
 
         try:
             chunk = queue(sizes[0], n)  # tile 0 skips the warm-up block
             for nb, nb_next in zip(sizes, sizes[1:] + [0]):
-                share, helper = chunk
-                if nb_next:
-                    chunk = queue(nb_next, 0)
-                chunk_errors, suspects = share()
-                if helper is not None:
-                    more_errors, more_suspects = helper.result()
-                    chunk_errors += more_errors
-                    suspects += more_suspects
+                tiles, chunk = chunk, queue(nb_next, 0) if nb_next else None
+                counts, kept = [], []
+                for task, tile in tiles:
+                    if task.cancel():  # the worker has not started it
+                        counts.append(self._tile(*tile))
+                    else:
+                        kept.append(task)
+                counts += [task.result() for task in kept]
+                chunk_errors, suspects = map(sum, zip(*counts))
                 counted = nb - warmup
                 warmup = 0
                 self.detected_rows += counted * n
@@ -412,16 +380,16 @@ class LinkSimulator:
                                             and lo > stop_target):
                         return errors, bits, False
         finally:
-            stop.set()
             pool.shutdown(cancel_futures=True)
         return errors, bits, errors < min_errors
 
-    def _tile(self, symbols, noise, skip: int):
+    def _tile(self, symbols, noise, rows: slice, skip: int):
         """(errors, suspects) of one tile, the blocks of one draw slice:
-        the tasks ``symbols`` and ``noise`` (None when sigma = 0) give its
-        indices and noise.  The first ``skip`` rows are not counted."""
+        ``rows`` of the chunk's indices, which the task ``symbols`` gives,
+        and the task ``noise`` (None when sigma = 0) gives its noise.  The
+        first ``skip`` rows are not counted."""
         n, cp, bands = self.config.n, self.config.cp, self.n_bands
-        tx_idx = symbols.result()
+        tx_idx = symbols.result()[rows]
         nb = len(tx_idx) // n
         tx = self.points[tx_idx].reshape(nb, n, bands)
         rx = chan.disperse(modem.frame(tx, cp), self.taps) @ self.g.T

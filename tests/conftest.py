@@ -39,20 +39,21 @@ def started_threads(monkeypatch):
 def tile_threads(monkeypatch):
     """``record(delay)`` wraps ``LinkSimulator._tile`` and returns the list it
     fills: per tile run, which thread ran it ("caller", the thread that asked
-    for the fixture, or "worker") and the rows it skipped.  The caller waits
-    ``delay`` s before each of its tiles, so that the worker claims some."""
+    for the fixture, or "worker") and the rows it skipped, its last argument.
+    The caller waits ``delay`` s before each of its tiles, so that the worker
+    reaches some first."""
     caller = threading.current_thread()
     tile = harness.LinkSimulator._tile
 
     def record(delay):
         ran = []
 
-        def recording(sim, symbols, noise, skip):
+        def recording(sim, *args):
             on_caller = threading.current_thread() is caller
-            ran.append(("caller" if on_caller else "worker", skip))
+            ran.append(("caller" if on_caller else "worker", args[-1]))
             if on_caller:
                 time.sleep(delay)
-            return tile(sim, symbols, noise, skip)
+            return tile(sim, *args)
         monkeypatch.setattr(harness.LinkSimulator, "_tile", recording)
         return ran
     return record

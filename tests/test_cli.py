@@ -94,7 +94,7 @@ class TestParsing:
         assert cli.run(["ber-curve", "--scheme", "qled", "--order", "4"]) == 2
 
     @pytest.mark.parametrize("grid", ["10:20:0", "10:20:-1", "10:nan:1",
-                                      "-inf:20:1", "10:20:inf"])
+                                      "-inf:20:1", "10:20:inf", "20:10:1"])
     def test_bad_snr_range_is_a_usage_error(self, grid, capsys):
         assert cli.run(["ber-curve", f"--snr-range={grid}"]) == 2
         assert "usage error: --snr-range" in capsys.readouterr().err

@@ -3,7 +3,6 @@
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -395,6 +394,27 @@ def _assert_no_thread_left(start, timeout=5.0):
     assert threading.active_count() == start
 
 
+def _slowed_noise(monkeypatch):
+    """Makes each run's generator the real stream with every noise slice
+    slowed by 50 ms; returns the list that gets one entry per slice drawn."""
+    make_rng, drawn = chan.make_rng, []
+
+    class SlowRng:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def integers(self, *args, **kwargs):
+            return self.rng.integers(*args, **kwargs)
+
+        def standard_normal(self, *args, **kwargs):
+            time.sleep(0.05)
+            draw = self.rng.standard_normal(*args, **kwargs)
+            drawn.append(None)
+            return draw
+    monkeypatch.setattr(chan, "make_rng", SlowRng)
+    return drawn
+
+
 class TestDrawPipeline:
     """The draw thread of LinkSimulator.run: same draws, no stray thread."""
 
@@ -468,12 +488,14 @@ class TestDrawPipeline:
         with pytest.raises(_Boom, match="worker tile failed"):
             sim.run(harness.sigma_from_snr(12.0), 20 * 64 * sim.k, 1,
                     chunk_blocks=6)
-        # the caller ran tile 0 alone; the worker failed on tile 1
-        assert sorted(who for who, _ in ran_on) == ["caller", "worker"]
+        # only a tile on the worker can fail
+        assert "worker" in {who for who, _ in ran_on}
         _assert_no_thread_left(start)
 
     def test_draw_error_in_a_worker_tile_reaches_the_caller(
             self, monkeypatch, tile_threads):
+        """The caller sleeps through its one tile while the worker runs the
+        others, among them the one whose noise slice failed."""
         make_rng = chan.make_rng
 
         class FaultyRng:
@@ -494,21 +516,34 @@ class TestDrawPipeline:
 
         monkeypatch.setattr(chan, "make_rng", FaultyRng)
         monkeypatch.setattr(harness, "_SLICE_BLOCKS", 1)
-        ran_on = tile_threads(delay=0.3)
+        tile_threads(delay=0.3)
+        caller, tile = threading.current_thread(), harness.LinkSimulator._tile
+        failed_on = []
+
+        def noting_failures(sim, *args):
+            try:
+                return tile(sim, *args)
+            except _Boom:
+                failed_on.append(threading.current_thread() is caller)
+                raise
+        monkeypatch.setattr(harness.LinkSimulator, "_tile", noting_failures)
         start = threading.active_count()
         sim = harness.LinkSimulator(fast_cfg(dt=1.0))
         with pytest.raises(_Boom, match="noise draw failed"):
             sim.run(harness.sigma_from_snr(20.0), 20 * 64 * sim.k, 1,
                     chunk_blocks=6)
-        # the caller ran tile 0 alone; the worker ran tile 1 and failed on 2
-        assert sorted(who for who, _ in ran_on) == ["caller", "worker", "worker"]
+        assert failed_on == [False]  # tile 2 failed, on the worker
         _assert_no_thread_left(start)
 
-    def test_concurrent_runs_under_fast_switching(self, monkeypatch):
-        """Three callers, each with its own draw thread, on two cores; each
-        chunk's four one-block tiles are claimed by both of a run's threads."""
-        monkeypatch.setattr(harness, "_SLICE_BLOCKS", 1)
-        sims = [harness.LinkSimulator(fast_cfg(dt=1.0)) for _ in range(3)]
+    @pytest.mark.parametrize("fde_on", [True, False])
+    @pytest.mark.parametrize("slice_blocks", [1, 2])
+    def test_concurrent_runs_under_fast_switching(self, monkeypatch,
+                                                  slice_blocks, fde_on):
+        """Three callers, each with its own draw thread, on two cores; both
+        of a run's threads race to cancel or start each tile's task."""
+        monkeypatch.setattr(harness, "_SLICE_BLOCKS", slice_blocks)
+        sims = [harness.LinkSimulator(fast_cfg(dt=1.0, fde=fde_on))
+                for _ in range(3)]
         args = [(harness.sigma_from_snr(8.0 + i), 40 * 64 * 2, (4, i))
                 for i in range(3)]
         kwargs = dict(min_bit_errors=1 << 30, chunk_blocks=4)
@@ -560,25 +595,7 @@ class TestDrawPipeline:
     def test_a_stop_cancels_the_next_chunks_noise(self, monkeypatch):
         """A run that stops on its first chunk waits for at most the noise
         slice in progress; the rest of the next chunk is never drawn."""
-        make_rng = chan.make_rng
-        drawn = []
-
-        class SlowRng:
-            """The real stream, each noise slice counted and slowed."""
-
-            def __init__(self, seed):
-                self.rng = make_rng(seed)
-
-            def integers(self, *args, **kwargs):
-                return self.rng.integers(*args, **kwargs)
-
-            def standard_normal(self, *args, **kwargs):
-                time.sleep(0.05)
-                draw = self.rng.standard_normal(*args, **kwargs)
-                drawn.append(None)
-                return draw
-
-        monkeypatch.setattr(chan, "make_rng", SlowRng)
+        drawn = _slowed_noise(monkeypatch)
         monkeypatch.setattr(harness, "_SLICE_BLOCKS", 1)
         start = threading.active_count()
         sim = harness.LinkSimulator(fast_cfg(dt=1.0))
@@ -592,33 +609,100 @@ class TestDrawPipeline:
         assert len(drawn) == at_return
         _assert_no_thread_left(start)
 
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_an_error_cancels_the_next_chunks_noise(self, monkeypatch, failing):
+        """A run whose first chunk fails in a tile, on either thread, waits
+        for at most the noise slice in progress; the rest is never drawn.
+        When a worker's tile fails, the caller's first tile waits for it."""
+        caller, failed = threading.current_thread(), threading.Event()
+        count, tile = modem.count_bit_errors, harness.LinkSimulator._tile
+
+        def failing_count(*args):
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                failed.set()
+                raise _Boom(f"{failing} tile failed")
+            return count(*args)
+
+        def held_tile(sim, *args):
+            if failing == "worker" and threading.current_thread() is caller:
+                failed.wait(timeout=5)
+            return tile(sim, *args)
+        monkeypatch.setattr(modem, "count_bit_errors", failing_count)
+        monkeypatch.setattr(harness.LinkSimulator, "_tile", held_tile)
+        drawn = _slowed_noise(monkeypatch)
+        monkeypatch.setattr(harness, "_SLICE_BLOCKS", 1)
+        start = threading.active_count()
+        sim = harness.LinkSimulator(fast_cfg(dt=1.0))
+        chunk = 8
+        with pytest.raises(_Boom, match=f"{failing} tile failed"):
+            sim.run(harness.sigma_from_snr(0.0), 200_000_000, 1,
+                    chunk_blocks=chunk)
+        at_return = len(drawn)
+        # a worker's tile runs only once its chunk's noise is drawn
+        drawn_before = chunk if failing == "worker" else 0
+        assert at_return - drawn_before < chunk / 2
+        time.sleep(0.2)
+        assert len(drawn) == at_return
+        _assert_no_thread_left(start)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("sigma", [0.0, 0.0531, np.float64(0.0531)])
     def test_chunk_draws_are_the_serial_draws(self, monkeypatch, dtype, sigma):
-        """Sliced draws queued on one worker, with sigma scaled into the
-        chunk buffer, equal the serial loop's ``integers`` then
-        ``sigma * standard_normal``."""
+        """The generator calls a run makes, in two-block noise slices, give
+        the serial loop's values in its order: per chunk ``integers``, then
+        ``standard_normal`` when sigma > 0.  The noise the tiles add is
+        ``sigma * standard_normal`` in that product's dtype."""
         monkeypatch.setattr(harness, "_SLICE_BLOCKS", 2)
-        sizes = harness._chunk_sizes(12, 5)
+        make_rng, calls = chan.make_rng, []
+
+        class RecordingRng:
+            """The real stream, each call's name and values recorded."""
+
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def integers(self, *args, **kwargs):
+                draw = self.rng.integers(*args, **kwargs)
+                calls.append(("integers", draw))
+                return draw
+
+            def standard_normal(self, *args, **kwargs):
+                draw = self.rng.standard_normal(*args, **kwargs)
+                calls.append(("standard_normal", draw))
+                return draw
+
+        draw_noise, noise_tasks = harness._draw_noise, []
+
+        def recording_noise(*args):
+            noise_tasks.append(draw_noise(*args))
+            return noise_tasks[-1]
+        monkeypatch.setattr(chan, "make_rng", RecordingRng)
+        monkeypatch.setattr(harness, "_draw_noise", recording_noise)
         n, cp, order, bands = 8, 2, 64, 4
-        rng = chan.make_rng((1, 7))
-        want = []
-        for nb in sizes:
-            want.append(rng.integers(0, order, size=nb * n))
+        sim = harness.LinkSimulator(fast_cfg(order=order, n=n, cp=cp),
+                                    dtype=dtype)
+        sim.run(sigma, 12 * n * sim.k, (1, 7), min_bit_errors=1 << 30,
+                chunk_blocks=5)
+        rng, want = make_rng((1, 7)), []
+        for nb in harness._chunk_sizes(12, 5):
+            want.append(("integers", rng.integers(0, order, size=nb * n)))
             if sigma > 0:
-                want.append(sigma * rng.standard_normal((nb * (n + cp), bands),
-                                                        dtype=dtype))
-        rng = chan.make_rng((1, 7))
-        with ThreadPoolExecutor(1) as pool:
-            jobs = []
-            for nb in sizes:
-                jobs.append(harness._draw_symbols(pool, rng, nb, n, order))
-                if sigma > 0:
-                    jobs.append(harness._draw_noise(pool, rng, nb, n + cp, bands,
-                                                    sigma, dtype))
-            got = [np.concatenate([task.result() for task in job]) for job in jobs]
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
+                want.append(("standard_normal", rng.standard_normal(
+                    (nb * (n + cp), bands), dtype=dtype)))
+        got = []  # a chunk's noise slices joined into one call
+        for name, values in calls:
+            if got and got[-1][0] == name == "standard_normal":
+                values = np.concatenate([got.pop()[1], values])
+            got.append((name, values))
+        assert [name for name, _ in got] == [name for name, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        scaled = [np.concatenate([task.result() for task in job])
+                  for job in noise_tasks]
+        want_noise = [sigma * values for name, values in want
+                      if name == "standard_normal"]
+        assert len(scaled) == len(want_noise)
+        for a, b in zip(scaled, want_noise):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
