@@ -33,19 +33,19 @@ def discretize_impulse_response(dt: float, order: int) -> np.ndarray:
     ``dt`` is the rms delay spread normalised to the bit duration
     (D_rms / T_b with D_rms = tau / 2), so tau = 2 * dt * T_b and the taps
     follow h[k] proportional to exp(-k * Ts / tau), truncated to ``N_TAPS``
-    and renormalised to unit sum.  dt = 0 collapses to the identity channel.
+    and renormalised to unit sum.  dt = 0, or a dt so small that Ts / tau
+    overflows, collapses to the identity channel.
     """
     if order < 2:
         raise InvalidParameter(f"modulation order must be >= 2, got {order}")
     if dt < 0:
         raise InvalidParameter(f"normalised delay spread must be >= 0, got {dt}")
-    taps = np.zeros(N_TAPS)
-    if dt == 0:
-        taps[0] = 1.0
-        return taps
     k = np.log2(order)
-    ts_over_tau = k / (2.0 * dt)  # Ts / tau with tau = 2 dt Tb, Tb = Ts / k
-    taps = np.exp(-np.arange(N_TAPS) * ts_over_tau)
+    with np.errstate(divide="ignore", over="ignore"):
+        ts_over_tau = k / (2.0 * dt)  # Ts / tau with tau = 2 dt Tb, Tb = Ts / k
+    # h[0] = 1 is set, not computed: 0 * inf would make it NaN
+    taps = np.ones(N_TAPS)
+    taps[1:] = np.exp(-np.arange(1, N_TAPS) * ts_over_tau)
     return taps / taps.sum()
 
 

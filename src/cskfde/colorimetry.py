@@ -136,29 +136,15 @@ def _mix_intensities(targets, triads_xy) -> np.ndarray:
     return intensities / intensities.sum(axis=1, keepdims=True)
 
 
-# The gamut quadrilateral BCYR is split by its edge midpoints p, q, r, s and
-# the diagonal crossing o into the sub-quadrilaterals pbqo, oqcr, sord and
-# apos (ids 0-3, the tie-break priority order); each holds one corner and is
-# covered by the triangle of that corner and its two neighbours.
+# The gamut quadrilateral BCYR is split by the spokes from the diagonal
+# crossing o to the edge midpoints p, q, r, s into the sub-quadrilaterals pbqo,
+# oqcr, sord and apos (ids 0-3, the tie-break priority order): id k is the
+# sector between spokes k and k+1.  Each holds one corner and is covered by the
+# triangle of that corner and its two neighbours.
 _SUB_QUAD_TRIADS = ((0, 1, 2),   # pbqo, corner C: B C Y
                     (1, 2, 3),   # oqcr, corner Y: C Y R
                     (2, 3, 0),   # sord, corner R: Y R B
                     (3, 0, 1))   # apos, corner B: R B C
-
-
-def _sub_quadrilaterals(xy):
-    b, c, y, r = xy
-    dby, dcr = y - b, r - c
-    t = np.linalg.solve(np.column_stack([dby, -dcr]), c - b)
-    o = b + t[0] * dby
-    p = (b + c) / 2
-    q = (c + y) / 2
-    rr = (y + r) / 2
-    s = (r + b) / 2
-    return (np.array([p, c, q, o]),
-            np.array([o, q, y, rr]),
-            np.array([s, o, rr, r]),
-            np.array([b, p, o, s]))
 
 
 def _in_quad(quad, pts, eps=_GAMUT_EPS) -> np.ndarray:
@@ -173,26 +159,24 @@ def _in_quad(quad, pts, eps=_GAMUT_EPS) -> np.ndarray:
 def _sub_quad_ids(pts, sources: SourceSet) -> np.ndarray:
     """Sub-quadrilateral id (0-3, pbqo to apos) of each (M, 2) point.
 
-    Boundary ties resolve to the lowest id.
+    The four sectors cover the plane, so every point gets an id; boundary
+    ties resolve to the lowest id.
     """
-    if sources.n_bands != 4:
-        raise DimensionMismatch("QLED triad selection needs four sources")
-    outside = ~_in_quad(sources.xy, pts)
+    xy = sources.xy
+    outside = ~_in_quad(xy, pts)
     if outside.any():
         i = int(np.argmax(outside))
         raise OutsideGamut(f"({pts[i, 0]}, {pts[i, 1]}) is outside the BCYR quadrilateral")
-    quads = _sub_quadrilaterals(sources.xy)
-    hits = np.column_stack([_in_quad(quad, pts) for quad in quads])
-    seam = ~hits.any(axis=1)
-    if seam.any():
-        # numerically on a seam none of the >= tests caught; widen tolerance
-        hits[seam] = np.column_stack([_in_quad(quad, pts[seam], eps=1e-7)
-                                      for quad in quads])
-    unmatched = ~hits.any(axis=1)
-    if unmatched.any():
-        i = int(np.argmax(unmatched))
-        raise OutsideGamut(
-            f"({pts[i, 0]}, {pts[i, 1]}) not matched to any sub-quadrilateral")
+    b, c, y, r = xy
+    t = np.linalg.solve(np.column_stack([y - b, c - r]), c - b)
+    o = b + t[0] * (y - b)
+    spokes = (xy + np.roll(xy, -1, axis=0)) / 2 - o  # o to p, q, r, s
+    d = pts - o
+    # turns[:, k] >= 0 where a point lies at or past spoke k in the traversal
+    # direction of BCYR, whichever way it turns
+    turns = np.sign(_triad_det(xy[:3])) * (spokes[:, 0] * d[:, 1:]
+                                           - spokes[:, 1] * d[:, :1])
+    hits = (turns >= -_GAMUT_EPS) & (np.roll(turns, -1, axis=1) <= _GAMUT_EPS)
     return np.argmax(hits, axis=1)  # first hit: the lowest id
 
 

@@ -75,8 +75,9 @@ def tled_tables_from_config(config: dict):
     try:
         for order, rows in section.items():
             tables[int(order)] = tuple(
-                (tuple(float(v) for v in row[0]), int(row[1])) for row in rows)
-    except (AttributeError, TypeError, ValueError, IndexError) as exc:
+                ((float(r), float(y), float(b)), int(label))
+                for (r, y, b), label in rows)
+    except (AttributeError, TypeError, ValueError) as exc:
         raise InvalidConfig("tables.tled: need {order: [[[r,y,b], label], ...]}") from exc
     return tables
 

@@ -113,8 +113,9 @@ class ExperimentConfig:
         if self.cp < memory:
             raise InvalidParameter(
                 f"cyclic prefix {self.cp} shorter than channel memory {memory}")
-        if self.n < 2 or (self.n & (self.n - 1)) != 0:
-            raise InvalidParameter(f"N must be a power of two, got {self.n}")
+        if self.n < chan.N_TAPS or (self.n & (self.n - 1)) != 0:
+            raise InvalidParameter(
+                f"N must be a power of two >= {chan.N_TAPS}, got {self.n}")
         if self.cp > self.n:
             raise InvalidParameter(
                 f"cyclic prefix {self.cp} longer than block N={self.n}")

@@ -1,7 +1,9 @@
 """Fixtures shared by the test modules."""
 
+import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,18 @@ from cskfde import harness
 
 def _draw_threads():
     return {t for t in threading.enumerate() if t.name.startswith("cskfde-draws")}
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """The environment of a child interpreter that imports the sources of
+    this checkout: its ``src`` first on ``PYTHONPATH``, ahead of any
+    installed copy."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
 
 
 @pytest.fixture(autouse=True)

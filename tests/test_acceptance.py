@@ -333,7 +333,7 @@ def test_criterion_4_floor_detection(measured):
 # Criterion 6: CLI determinism
 # ---------------------------------------------------------------------------
 
-def test_criterion_6_cli_determinism(tmp_path):
+def test_criterion_6_cli_determinism(tmp_path, src_env):
     cfg = tmp_path / "fast.yaml"
     cfg.write_text("min_bit_errors: 30\nmax_bits: 400000\ntarget_ber: 0.003\n")
     outputs = []
@@ -344,7 +344,7 @@ def test_criterion_6_cli_determinism(tmp_path):
             [sys.executable, "-m", "cskfde.cli", "table1",
              "--entries", "qled:4:0.5:fde", "--seed", "7",
              "--config", str(cfg), "--out", str(out), "--json", str(js)],
-            capture_output=True).returncode
+            capture_output=True, env=src_env).returncode
         assert code == 0
         outputs.append(out.read_bytes() + js.read_bytes())
     ok = outputs[0] == outputs[1]
@@ -352,7 +352,7 @@ def test_criterion_6_cli_determinism(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "cskfde.cli", "loopback-check", "--scheme",
          "qled", "--order", "4096", "--dt", "1", "--fde", "on",
-         "--bits", "1000000"], capture_output=True, text=True)
+         "--bits", "1000000"], capture_output=True, text=True, env=src_env)
     loop_ok = proc.returncode == 0 and "0 bit errors" in proc.stdout
     record(6, "CLI determinism + loopback",
            ok and loop_ok,

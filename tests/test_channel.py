@@ -1,23 +1,28 @@
 """Channel tests: tap discretisation, CIL mixing, calibration, noise."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-import cskfde
 from cskfde import channel as chan
 from cskfde import modem
+from cskfde.colorimetry import QLED_ORDERS
 from cskfde.errors import DimensionMismatch, InvalidParameter, SingularMatrix
 
 
 class TestDiscretizeImpulseResponse:
     def test_zero_dispersion_is_identity(self):
         taps = chan.discretize_impulse_response(0.0, 16)
+        np.testing.assert_array_equal(taps, [1, 0, 0, 0, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("order", QLED_ORDERS)
+    def test_subnormal_dispersion_is_identity(self, order):
+        """Ts / tau overflows to inf at the smallest Dt; no tap may be NaN."""
+        taps = chan.discretize_impulse_response(5e-324, order)
+        assert np.isfinite(taps).all()
         np.testing.assert_array_equal(taps, [1, 0, 0, 0, 0, 0, 0, 0])
 
     def test_geometric_series_oracle_dt_half_m16(self):
@@ -117,37 +122,33 @@ class TestDisperse:
             assert np.array_equal(got, alone[cp:])
 
 
-def _fresh_python(code: str) -> str:
-    """Run ``code`` in a fresh interpreter that imports these sources."""
-    src = str(Path(cskfde.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+def _fresh_python(code: str, env: dict) -> str:
+    """Run ``code`` in a fresh interpreter with the environment ``env``."""
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     return out.stdout.strip()
 
 
-def test_import_leaves_scipy_signal_out():
+def test_import_leaves_scipy_signal_out(src_env):
     """scipy.signal costs about a second of import time and is not used."""
     code = ("import sys\n"
             "import cskfde.channel, cskfde.colorimetry, cskfde.config\n"
             "import cskfde.errors, cskfde.fde, cskfde.harness, cskfde.modem\n"
             "import cskfde.cli\n"
             "print('scipy.signal' in sys.modules)")
-    assert _fresh_python(code) == "False"
+    assert _fresh_python(code, src_env) == "False"
 
 
-def test_package_import_loads_no_module():
+def test_package_import_loads_no_module(src_env):
     """Names are imported from their modules; the package re-exports none."""
     code = ("import sys, cskfde\n"
             "print(sorted(m for m in sys.modules if m.startswith('cskfde.')))")
-    assert _fresh_python(code) == "[]"
+    assert _fresh_python(code, src_env) == "[]"
 
 
-def test_yaml_is_loaded_only_to_read_a_config_file():
+def test_yaml_is_loaded_only_to_read_a_config_file(src_env):
     code = "import sys, cskfde.cli; print('yaml' in sys.modules)"
-    assert _fresh_python(code) == "False"
+    assert _fresh_python(code, src_env) == "False"
 
 
 class TestApplyChannel:

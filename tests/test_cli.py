@@ -314,6 +314,7 @@ class TestConfigValues:
         ("scheme: [\n", "not valid YAML"),
         ("n_taps: 8\n", "unknown key 'n_taps'"),
         ("symbol_rate: 24.0e+6\n", "unknown key 'symbol_rate'"),
+        ("tables: {tled: {4: [[[0.5, 0.5], 1]]}}\n", "tables.tled: need"),
     ])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, text,
                                               message):

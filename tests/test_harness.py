@@ -90,6 +90,7 @@ class TestExperimentConfigValidation:
         ({"min_bit_errors": -5}, InvalidParameter),
         ({"max_bits": 0}, InvalidParameter),
         ({"cp": 65}, InvalidParameter),
+        ({"n": 4, "cp": 0}, InvalidParameter),
     ])
     def test_rejected_at_construction(self, kw, error):
         with pytest.raises(error):
