@@ -33,8 +33,8 @@ def discretize_impulse_response(dt: float, order: int) -> np.ndarray:
     ``dt`` is the rms delay spread normalised to the bit duration
     (D_rms / T_b with D_rms = tau / 2), so tau = 2 * dt * T_b and the taps
     follow h[k] proportional to exp(-k * Ts / tau), truncated to ``N_TAPS``
-    and renormalised to unit sum.  dt = 0, or a dt so small that Ts / tau
-    overflows, collapses to the identity channel.
+    and renormalised to unit sum.  dt = 0 (either sign), or a dt so small
+    that Ts / tau overflows, collapses to the identity channel.
     """
     if order < 2:
         raise InvalidParameter(f"modulation order must be >= 2, got {order}")
@@ -42,7 +42,8 @@ def discretize_impulse_response(dt: float, order: int) -> np.ndarray:
         raise InvalidParameter(f"normalised delay spread must be >= 0, got {dt}")
     k = np.log2(order)
     with np.errstate(divide="ignore", over="ignore"):
-        ts_over_tau = k / (2.0 * dt)  # Ts / tau with tau = 2 dt Tb, Tb = Ts / k
+        # Ts / tau with tau = 2 dt Tb, Tb = Ts / k; abs() makes -0.0 give +inf
+        ts_over_tau = k / (2.0 * abs(dt))
     # h[0] = 1 is set, not computed: 0 * inf would make it NaN
     taps = np.ones(N_TAPS)
     taps[1:] = np.exp(-np.arange(1, N_TAPS) * ts_over_tau)

@@ -147,13 +147,13 @@ _SUB_QUAD_TRIADS = ((0, 1, 2),   # pbqo, corner C: B C Y
                     (3, 0, 1))   # apos, corner B: R B C
 
 
-def _in_quad(quad, pts, eps=_GAMUT_EPS) -> np.ndarray:
+def _in_quad(quad, pts) -> np.ndarray:
     """(M,) mask of the (M, 2) points inside the (4, 2) quadrilateral."""
     # sign-consistent cross products, orientation-agnostic
     a, b = quad, np.roll(quad, -1, axis=0)
     crosses = ((b[:, 0] - a[:, 0]) * (pts[:, 1:] - a[:, 1])
                - (b[:, 1] - a[:, 1]) * (pts[:, :1] - a[:, 0]))
-    return np.all(crosses >= -eps, axis=1) | np.all(crosses <= eps, axis=1)
+    return np.all(crosses >= -_GAMUT_EPS, axis=1) | np.all(crosses <= _GAMUT_EPS, axis=1)
 
 
 def _sub_quad_ids(pts, sources: SourceSet) -> np.ndarray:

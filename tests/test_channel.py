@@ -15,15 +15,13 @@ from cskfde.errors import DimensionMismatch, InvalidParameter, SingularMatrix
 
 class TestDiscretizeImpulseResponse:
     def test_zero_dispersion_is_identity(self):
-        taps = chan.discretize_impulse_response(0.0, 16)
-        np.testing.assert_array_equal(taps, [1, 0, 0, 0, 0, 0, 0, 0])
-
-    @pytest.mark.parametrize("order", QLED_ORDERS)
-    def test_subnormal_dispersion_is_identity(self, order):
-        """Ts / tau overflows to inf at the smallest Dt; no tap may be NaN."""
-        taps = chan.discretize_impulse_response(5e-324, order)
-        assert np.isfinite(taps).all()
-        np.testing.assert_array_equal(taps, [1, 0, 0, 0, 0, 0, 0, 0])
+        """Dt = -0.0 and the smallest subnormal Dt, where Ts / tau is +inf,
+        give the same identity channel as Dt = 0."""
+        for dt in (0.0, -0.0, 5e-324):
+            for order in QLED_ORDERS:
+                taps = chan.discretize_impulse_response(dt, order)
+                np.testing.assert_array_equal(taps, [1, 0, 0, 0, 0, 0, 0, 0],
+                                              err_msg=f"dt={dt}, M={order}")
 
     def test_geometric_series_oracle_dt_half_m16(self):
         """Dt=0.5, M=16: tau = Ts/4, so taps follow e^{-4k} / geometric sum."""
