@@ -46,6 +46,8 @@ _SLICE_BLOCKS = 512
 # The bisection's search range and its stopping bracket, in dB of SNR_o.
 _SNR_LO_DB, _SNR_HI_DB, _BRACKET_DB = 0.0, 40.0, 0.1
 
+_SYMBOL_RATE = 24e6  # Rs in symbols/s: the paper's 24 MHz system bandwidth
+
 
 def qfunc_inv(p: float) -> float:
     """Inverse Gaussian tail function Q^-1."""
@@ -142,14 +144,13 @@ def _as_type(name: str, kind: type, value):
     raise InvalidConfig(f"{name}: expected {kind.__name__}, got {value!r}")
 
 
-def data_rate(order: int, n: int = ExperimentConfig.n, cp: int = ExperimentConfig.cp,
-              symbol_rate: float = 24e6) -> float:
+def data_rate(order: int, n: int = ExperimentConfig.n,
+              cp: int = ExperimentConfig.cp) -> float:
     """Payload bit rate (N / (N + L)) * Rs * log2(M); cp = 0 gives the unframed
     rate.  Rs is used nowhere else: Dt is normalised to the bit time."""
-    if (order < 2 or not float(np.log2(order)).is_integer() or n < 1 or cp < 0
-            or not (np.isfinite(symbol_rate) and symbol_rate > 0)):
+    if order < 2 or not float(np.log2(order)).is_integer() or n < 1 or cp < 0:
         raise InvalidParameter("invalid rate parameters")
-    return (n / (n + cp)) * symbol_rate * np.log2(order)
+    return (n / (n + cp)) * _SYMBOL_RATE * np.log2(order)
 
 
 @dataclass(frozen=True)
@@ -192,37 +193,6 @@ class PowerRequirement:
     @property
     def as_table_value(self) -> str:
         return f"{self.requirement_db:.2f}" if self.achievable else "inf"
-
-
-def _chunk_sizes(n_blocks_total: int, chunk_blocks: int) -> list:
-    """Blocks per chunk; the first chunk also carries the warm-up block."""
-    sizes, done, warmup = [], 0, 1
-    while done < n_blocks_total:
-        nb = int(min(chunk_blocks, n_blocks_total - done + warmup))
-        sizes.append(nb)
-        done += nb - warmup
-        warmup = 0
-    return sizes
-
-
-def _draw_noise(pool, rng, nb: int, rows_per_block: int, n_bands: int,
-                sigma: float, dtype) -> list:
-    """Queue the serial loop's ``sigma * rng.standard_normal(shape, dtype)``
-    in that product's dtype (a numpy float64 sigma promotes it to float64),
-    one task per ``_SLICE_BLOCKS``-block slice; each task returns its slice.
-
-    Philox fills are slice-invariant, and the pool's one worker runs tasks
-    first in, first out, so the slices get the values of one serial call.
-    """
-    out = np.empty((nb * rows_per_block, n_bands),
-                   dtype=np.result_type(sigma, dtype))
-    step = _SLICE_BLOCKS * rows_per_block
-
-    def fill(part):
-        np.multiply(rng.standard_normal(part.shape, dtype=dtype), sigma, out=part)
-        return part
-    return [pool.submit(fill, out[start:start + step])
-            for start in range(0, len(out), step)]
 
 
 class LinkSimulator:
@@ -316,13 +286,13 @@ class LinkSimulator:
         before any thread starts, unless ``n_bits``, ``min_bit_errors`` and
         ``chunk_blocks`` are >= 1 and ``sigma`` is finite and >= 0.
 
-        Schedule: per chunk the worker's queue holds the chunk's indices,
-        its noise slices, then one task per tile; the next chunk's are
-        queued as the caller starts on this one.  The caller runs each tile
-        whose task it cancels before the worker starts it, then collects the
-        worker's tiles, so an error in a tile or a draw on either thread is
-        raised here, a worker's when the caller collects that chunk.  On any
-        exit the run waits for at most one task in progress.
+        Schedule: each chunk is sized as it is queued.  The worker's queue
+        holds its indices, its noise slices, then one task per tile, and the
+        next chunk's are queued as the caller starts on this one.  The caller
+        runs each tile whose task it cancels before the worker starts it,
+        then collects the worker's tiles, so an error in a tile or a draw on
+        either thread is raised here, a worker's when the caller collects
+        that chunk.  On any exit the run waits for at most one task.
         """
         cfg = self.config
         n, cp, bands = cfg.n, cfg.cp, self.n_bands
@@ -333,29 +303,46 @@ class LinkSimulator:
                 raise InvalidParameter(f"{name} must be >= 1, got {value}")
         if not (np.isfinite(sigma) and sigma >= 0):
             raise InvalidParameter(f"sigma must be finite and >= 0, got {sigma}")
-        sizes = _chunk_sizes(int(np.ceil(n_bits / (self.k * n))), chunk_blocks)
-        errors = 0
-        bits = 0
-        warmup = 1  # first block of the stream is not counted
+        # +1: the stream's first block is a warm-up, drawn but not counted
+        blocks = int(np.ceil(n_bits / (self.k * n))) + 1
+        queued = errors = bits = 0
         rng, order = chan.make_rng(seed), self.constellation.order
         pool = ThreadPoolExecutor(1, thread_name_prefix="cskfde-draws")
 
-        def queue(nb, skip):
-            """Queue a chunk's draws in the serial loop's order, then one
-            ``_tile`` task per draw slice; tile 0 does not count its first
-            ``skip`` rows.  Returns each tile's task and arguments."""
+        def fill(part):  # ufuncs return their ``out``
+            return np.multiply(rng.standard_normal(part.shape, dtype=self.dtype),
+                               sigma, out=part)
+
+        def queue():
+            """Queue the next chunk's indices, its noise slices (the dtype of
+            ``sigma * rng.standard_normal(shape, dtype)``; Philox fills are
+            slice-invariant and tasks run in order, so the slices hold one
+            serial call's values) and a ``_tile`` task per slice.  Returns its
+            counted blocks and tiles (task, arguments), or None when none is left."""
+            nonlocal queued
+            nb = int(min(chunk_blocks, blocks - queued))
+            if nb == 0:
+                return None
+            skip = 0 if queued else n  # tile 0 of chunk 0 skips the warm-up
+            queued += nb
             symbols = pool.submit(rng.integers, 0, order, size=nb * n)
-            starts = range(0, nb * n, _SLICE_BLOCKS * n)
-            noise = (_draw_noise(pool, rng, nb, n + cp, bands, sigma, self.dtype)
-                     if sigma > 0 else [None] * len(starts))
-            tiles = [(symbols, part, slice(start, start + _SLICE_BLOCKS * n),
-                      0 if start else skip) for start, part in zip(starts, noise)]
-            return [(pool.submit(self._tile, *tile), tile) for tile in tiles]
+            noise = (np.empty((nb * (n + cp), bands),
+                              dtype=np.result_type(sigma, self.dtype))
+                     if sigma > 0 else None)
+            tiles = []
+            for start in range(0, nb, _SLICE_BLOCKS):
+                stop = start + _SLICE_BLOCKS
+                part = None if noise is None else pool.submit(
+                    fill, noise[start * (n + cp):stop * (n + cp)])
+                tiles.append((symbols, part, slice(start * n, stop * n),
+                              0 if start else skip))
+            return (nb - 1 if skip else nb,
+                    [(pool.submit(self._tile, *tile), tile) for tile in tiles])
 
         try:
-            chunk = queue(sizes[0], n)  # tile 0 skips the warm-up block
-            for nb, nb_next in zip(sizes, sizes[1:] + [0]):
-                tiles, chunk = chunk, queue(nb_next, 0) if nb_next else None
+            chunk = queue()
+            while chunk is not None:
+                (counted, tiles), chunk = chunk, queue()
                 counts, kept = [], []
                 for task, tile in tiles:
                     if task.cancel():  # the worker has not started it
@@ -364,8 +351,6 @@ class LinkSimulator:
                         kept.append(task)
                 counts += [task.result() for task in kept]
                 chunk_errors, suspects = map(sum, zip(*counts))
-                counted = nb - warmup
-                warmup = 0
                 self.detected_rows += counted * n
                 self.suspect_rows += suspects
                 errors += chunk_errors

@@ -43,8 +43,6 @@ TRUST_MARGIN = 10.0    # proven metric gap over the float error bound
 # rows: gathering nearly all of them costs more than it saves.
 _GATHER_MAX_SHARE = 0.75
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(1 << 12)], dtype=np.int64)
-
 
 def detection_metric(constellation: Constellation, dtype=float):
     """Precomputed (Cᵀ, ||c||²/2) pair for the argmin distance rule, with
@@ -188,4 +186,4 @@ def count_bit_errors(rows, sent_rows, sent_idx, trust_sq, ct, half_norms,
         suspects = slice(None)
     det_idx = nearest_points(rows[suspects], ct, half_norms)
     diff = labels[det_idx] ^ labels[sent_idx[suspects]]
-    return int(_POPCOUNT[diff].sum()), n_suspects
+    return int(np.bitwise_count(diff).sum()), n_suspects

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -36,12 +37,9 @@ class TestDataRate:
         assert harness.data_rate(64) / harness.data_rate(64, cp=0) == pytest.approx(64 / 72)
 
     def test_validation(self):
-        """The order must be a power of two >= 2 and the symbol rate finite
-        and > 0."""
+        """The order must be a power of two >= 2, N >= 1 and L >= 0."""
         for args in [(1,), (5,), (12,), (0,), (-4,), (float("nan"),),
-                     (float("inf"),), (16, 64, 8, float("nan")),
-                     (16, 64, 8, float("inf")), (16, 64, 8, 0.0),
-                     (16, 64, 8, -24e6), (16, 0), (16, 64, -1)]:
+                     (float("inf"),), (16, 0), (16, 64, -1)]:
             with pytest.raises(InvalidParameter):
                 harness.data_rate(*args)
 
@@ -416,6 +414,27 @@ def _slowed_noise(monkeypatch):
     return drawn
 
 
+def _recorded_draws(monkeypatch):
+    """Makes each run's generator the real stream with each call's name and
+    values recorded; returns the list of (name, values) it fills."""
+    make_rng, calls = chan.make_rng, []
+
+    class RecordingRng:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def integers(self, *args, **kwargs):
+            calls.append(("integers", self.rng.integers(*args, **kwargs)))
+            return calls[-1][1]
+
+        def standard_normal(self, *args, **kwargs):
+            calls.append(("standard_normal",
+                          self.rng.standard_normal(*args, **kwargs)))
+            return calls[-1][1]
+    monkeypatch.setattr(chan, "make_rng", RecordingRng)
+    return calls
+
+
 class TestDrawPipeline:
     """The draw thread of LinkSimulator.run: same draws, no stray thread."""
 
@@ -432,6 +451,24 @@ class TestDrawPipeline:
                                          200_000_000, 1, stop_target=1e-6)
         assert bits == 4095 * 64 * sim.k and not censored
         _assert_no_thread_left(start)
+
+    def test_a_run_start_does_not_grow_with_its_budget(self):
+        """A run that stops decisively on its first chunk returns the same
+        triple, with the same allocation peak, at 1e12 bits as at 2e8: no
+        chunk is sized before it is queued."""
+        sim = harness.LinkSimulator(fast_cfg(dt=1.0))
+        sigma = harness.sigma_from_snr(6.0)
+        sim.run(sigma, 200_000_000, 1, stop_target=1e-6)  # first-call caches
+        got, peaks = [], []
+        for n_bits in (200_000_000, 10 ** 12):
+            tracemalloc.start()
+            try:
+                got.append(sim.run(sigma, n_bits, 1, stop_target=1e-6))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert got[0] == got[1] and got[0][1] == 4095 * 64 * sim.k
+        assert abs(peaks[1] - peaks[0]) < 4 << 20, peaks
 
     def test_no_thread_outlives_a_detection_error(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -568,13 +605,6 @@ class TestDrawPipeline:
         assert got == want
         _assert_no_thread_left(start)
 
-    def test_chunk_sizes_carry_one_warmup_block(self):
-        assert harness._chunk_sizes(12, 5) == [5, 5, 3]
-        assert harness._chunk_sizes(1, 4096) == [2]
-        assert harness._chunk_sizes(3, 1) == [1, 1, 1, 1]
-        with pytest.raises(InvalidParameter):
-            harness.LinkSimulator(fast_cfg()).run(0.1, 1000, 1, chunk_blocks=0)
-
     @pytest.mark.parametrize("sigma,n_bits,kwargs,name", [
         (0.1, 0, {}, "n_bits"),
         (0.1, -100, {}, "n_bits"),
@@ -646,50 +676,48 @@ class TestDrawPipeline:
         assert len(drawn) == at_return
         _assert_no_thread_left(start)
 
+    @pytest.mark.parametrize("blocks,chunk_blocks,sizes", [
+        (12, 5, [5, 5, 3]), (1, 4096, [2]), (3, 1, [1, 1, 1, 1])],
+        ids=["12-by-5", "1-by-4096", "3-by-1"])
+    def test_chunk_sizes_carry_one_warmup_block(self, monkeypatch, blocks,
+                                                chunk_blocks, sizes):
+        """A run of ``blocks`` counted blocks draws the indices of ``sizes``
+        blocks per chunk, each chunk's in one call: the first chunk carries
+        the warm-up block."""
+        calls = _recorded_draws(monkeypatch)
+        sim = harness.LinkSimulator(fast_cfg())
+        _, bits, _ = sim.run(0.1, blocks * 64 * sim.k, 1, min_bit_errors=1 << 30,
+                             chunk_blocks=chunk_blocks)
+        assert [len(values) for name, values in calls
+                if name == "integers"] == [nb * 64 for nb in sizes]
+        assert bits == blocks * 64 * sim.k
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("sigma", [0.0, 0.0531, np.float64(0.0531)])
     def test_chunk_draws_are_the_serial_draws(self, monkeypatch, dtype, sigma):
         """The generator calls a run makes, in two-block noise slices, give
         the serial loop's values in its order: per chunk ``integers``, then
-        ``standard_normal`` when sigma > 0.  The noise the tiles add is
-        ``sigma * standard_normal`` in that product's dtype."""
-        monkeypatch.setattr(harness, "_SLICE_BLOCKS", 2)
-        make_rng, calls = chan.make_rng, []
-
-        class RecordingRng:
-            """The real stream, each call's name and values recorded."""
-
-            def __init__(self, seed):
-                self.rng = make_rng(seed)
-
-            def integers(self, *args, **kwargs):
-                draw = self.rng.integers(*args, **kwargs)
-                calls.append(("integers", draw))
-                return draw
-
-            def standard_normal(self, *args, **kwargs):
-                draw = self.rng.standard_normal(*args, **kwargs)
-                calls.append(("standard_normal", draw))
-                return draw
-
-        draw_noise, noise_tasks = harness._draw_noise, []
-
-        def recording_noise(*args):
-            noise_tasks.append(draw_noise(*args))
-            return noise_tasks[-1]
-        monkeypatch.setattr(chan, "make_rng", RecordingRng)
-        monkeypatch.setattr(harness, "_draw_noise", recording_noise)
+        ``standard_normal`` when sigma > 0.  The noise each tile receives is
+        its slice of ``sigma * standard_normal``, in that product's dtype."""
         n, cp, order, bands = 8, 2, 64, 4
-        sim = harness.LinkSimulator(fast_cfg(order=order, n=n, cp=cp),
-                                    dtype=dtype)
-        sim.run(sigma, 12 * n * sim.k, (1, 7), min_bit_errors=1 << 30,
-                chunk_blocks=5)
-        rng, want = make_rng((1, 7)), []
-        for nb in harness._chunk_sizes(12, 5):
+        rng, want = chan.make_rng((1, 7)), []
+        for nb in [5, 5, 3]:
             want.append(("integers", rng.integers(0, order, size=nb * n)))
             if sigma > 0:
                 want.append(("standard_normal", rng.standard_normal(
                     (nb * (n + cp), bands), dtype=dtype)))
+        monkeypatch.setattr(harness, "_SLICE_BLOCKS", 2)
+        calls = _recorded_draws(monkeypatch)
+        tile, tiles = harness.LinkSimulator._tile, []
+
+        def recording_tile(sim, symbols, noise, rows, skip):
+            tiles.append((symbols, noise, rows))
+            return tile(sim, symbols, noise, rows, skip)
+        monkeypatch.setattr(harness.LinkSimulator, "_tile", recording_tile)
+        sim = harness.LinkSimulator(fast_cfg(order=order, n=n, cp=cp),
+                                    dtype=dtype)
+        sim.run(sigma, 12 * n * sim.k, (1, 7), min_bit_errors=1 << 30,
+                chunk_blocks=5)
         got = []  # a chunk's noise slices joined into one call
         for name, values in calls:
             if got and got[-1][0] == name == "standard_normal":
@@ -698,13 +726,18 @@ class TestDrawPipeline:
         assert [name for name, _ in got] == [name for name, _ in want]
         for (_, a), (_, b) in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        scaled = [np.concatenate([task.result() for task in job])
-                  for job in noise_tasks]
-        want_noise = [sigma * values for name, values in want
-                      if name == "standard_normal"]
-        assert len(scaled) == len(want_noise)
-        for a, b in zip(scaled, want_noise):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        # each tile's noise argument, in the order of its chunk's draw and
+        # of its rows
+        chunk_of = {id(values): i for i, (_, values) in enumerate(calls)}
+        tiles.sort(key=lambda t: (chunk_of[id(t[0].result())], t[2].start))
+        if sigma > 0:
+            scaled = np.concatenate([noise.result() for _, noise, _ in tiles])
+            want_noise = np.concatenate([sigma * values for name, values in want
+                                         if name == "standard_normal"])
+            assert scaled.dtype == want_noise.dtype
+            assert np.array_equal(scaled, want_noise)
+        else:
+            assert all(noise is None for _, noise, _ in tiles)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("order", [4, 16, 64, 4096])
