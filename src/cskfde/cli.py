@@ -27,6 +27,11 @@ class UsageError(Exception):
     pass
 
 
+# Each SNR point costs at least one 4096-block chunk; the benchmark's grids
+# have 5-6 points.
+_MAX_SNR_POINTS = 10_000
+
+
 _D = harness.ExperimentConfig  # the defaults shown in the help
 _FLAGS = {
     "scheme": {"choices": [colorimetry.TLED, colorimetry.QLED],
@@ -98,7 +103,7 @@ def _experiment_config(args):
     """The run's ExperimentConfig and the file mapping; set flags win."""
     file_cfg = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, "rb") as fh:  # PyYAML decodes: UTF-8, or UTF-16 by BOM
             file_cfg = cfgmod.load_config(fh)
     fde = {"on": True, "off": False}.get(getattr(args, "fde", None))
     return cfgmod.merge(file_cfg, {**vars(args), "fde": fde}), file_cfg
@@ -143,6 +148,10 @@ def _cmd_ber_curve(args) -> int:
             raise UsageError("--snr-range must be lo:hi:step")
         if not (np.isfinite([lo, hi, step]).all() and lo <= hi and step > 0):
             raise UsageError("--snr-range needs finite lo <= hi and a step > 0")
+        points = np.ceil((hi + 1e-9 - lo) / step)  # np.arange's length
+        if not points <= _MAX_SNR_POINTS:
+            raise UsageError(f"--snr-range makes {points:g} points; "
+                             f"at most {_MAX_SNR_POINTS} are allowed")
         grid.extend(np.arange(lo, hi + 1e-9, step).tolist())
     if not grid:
         raise UsageError("ber-curve needs --snr or --snr-range")

@@ -27,7 +27,8 @@ def _check_keys(mapping: dict, accepted, where: str = "") -> None:
 
 
 def load_config(stream) -> dict:
-    """The top-level mapping of an open YAML text stream, with known keys only."""
+    """The top-level mapping of an open YAML stream, text or bytes (which PyYAML
+    decodes as UTF-8, or UTF-16 by its BOM), with known keys only."""
     import yaml  # here, so that only a run that reads a --config file loads it
     try:
         data = yaml.safe_load(stream) or {}

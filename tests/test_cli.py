@@ -99,6 +99,22 @@ class TestParsing:
         assert cli.run(["ber-curve", f"--snr-range={grid}"]) == 2
         assert "usage error: --snr-range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["ber-curve", "--snr", "-4000"], "error: InvalidParameter: SNR -4000"),
+        (["ber-curve", "--snr-range", "0:1:1e-300"],
+         "usage error: --snr-range makes 1e+300 points"),
+        (["ber-curve", "--snr-range=-4000:6000:1"],
+         "usage error: --snr-range makes 10001 points"),
+        (["constellation", "--config", "UNDECODABLE"],
+         "error: InvalidConfig: not valid YAML"),
+    ], ids=["sigma-overflow", "tiny-step", "above-the-cap", "undecodable-config"])
+    def test_bad_input_exits_2_with_a_typed_message(self, argv, message,
+                                                    tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"order: \xc3\x28\n")
+        assert cli.run([str(path) if a == "UNDECODABLE" else a for a in argv]) == 2
+        assert capsys.readouterr().err.startswith(message)
+
     @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
     def test_non_finite_snr_is_a_usage_error(self, snr, capsys, started_threads,
                                              fast_config):

@@ -192,12 +192,13 @@ def test_worker_run_warmup_tile_equals_full_metric(monkeypatch, tile_threads,
 
 
 def test_numpy_float64_sigma_equals_full_metric():
-    """A float64 sigma promotes the scaled noise, as ``sigma * draw`` does."""
+    """A numpy float64 sigma gives the noise of the same sigma as a Python
+    float, in the simulator's dtype."""
     cfg = harness.ExperimentConfig(scheme="qled", order=64, dt=1.0)
     sim = harness.LinkSimulator(cfg)
-    args = (np.float64(harness.sigma_from_snr(20.0)), 12 * cfg.n * sim.k, 3)
-    assert sim.run(*args, chunk_blocks=5) == reference_run(sim, *args,
-                                                           chunk_blocks=5)
+    sigma, rest = np.float64(harness.sigma_from_snr(20.0)), (12 * cfg.n * sim.k, 3)
+    assert sim.run(sigma, *rest, chunk_blocks=5) == reference_run(
+        sim, float(sigma), *rest, chunk_blocks=5)
 
 
 def test_chunk_with_exactly_one_suspect_row():

@@ -1,5 +1,6 @@
 """Harness tests: rates, OOK baseline, BER points, bisection, reproducibility."""
 
+import io
 import sys
 import threading
 import time
@@ -195,6 +196,19 @@ class TestRunBerPoint:
         point = harness.run_ber_point(cfg, 12.0, simulator=sim)
         assert point == harness.run_ber_point(cfg, 12.0)
 
+    def test_numpy_float64_sigma_gives_the_float_sigma_bits(self):
+        """A case where float64 noise once flipped one decision."""
+        sim = harness.LinkSimulator(harness.ExperimentConfig(
+            scheme="qled", order=4096, dt=1.0))
+        sigma = harness.sigma_from_snr(28.0)
+        assert sim.run(np.float64(sigma), 100_000, (1, 5)) == sim.run(
+            sigma, 100_000, (1, 5))
+
+    def test_sigma_overflow_is_invalid_parameter(self):
+        assert harness.sigma_from_snr(np.float64(-3082.0)) == 10.0 ** 308.2
+        with pytest.raises(InvalidParameter, match="overflows sigma"):
+            harness.sigma_from_snr(-3083.0)
+
 
 def _module_chain(sim, sigma, seed, chunk_sizes):
     """(errors, bits) of the link built from the per-block operations, with
@@ -364,6 +378,18 @@ class TestBerCurve:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("scheme,order,dt,fde,snr_o_db")
         assert len(lines) == 4
+
+    def test_arange_grid_writes_the_csv_of_its_list(self):
+        """The last point is the float64-sigma case of TestRunBerPoint."""
+        cfg = harness.ExperimentConfig(scheme="qled", order=4096, dt=1.0,
+                                       max_bits=100_000, seed=1)
+        grid = np.arange(23.0, 29.0)
+        texts = []
+        for snrs in (grid, [23.0, 24.0, 25.0, 26.0, 27.0, 28.0]):
+            fh = io.StringIO()
+            harness.write_curve_csv(fh, harness.run_ber_curve(cfg, snrs))
+            texts.append(fh.getvalue())
+        assert texts[0] == texts[1]
 
     def test_requirements_serialisation(self, tmp_path):
         cfg = fast_cfg(target_ber=1e-3)
@@ -698,7 +724,8 @@ class TestDrawPipeline:
         """The generator calls a run makes, in two-block noise slices, give
         the serial loop's values in its order: per chunk ``integers``, then
         ``standard_normal`` when sigma > 0.  The noise each tile receives is
-        its slice of ``sigma * standard_normal``, in that product's dtype."""
+        its slice of ``float(sigma) * standard_normal``, in the simulator's
+        dtype, whatever type sigma has."""
         n, cp, order, bands = 8, 2, 64, 4
         rng, want = chan.make_rng((1, 7)), []
         for nb in [5, 5, 3]:
@@ -732,9 +759,10 @@ class TestDrawPipeline:
         tiles.sort(key=lambda t: (chunk_of[id(t[0].result())], t[2].start))
         if sigma > 0:
             scaled = np.concatenate([noise.result() for _, noise, _ in tiles])
-            want_noise = np.concatenate([sigma * values for name, values in want
+            want_noise = np.concatenate([float(sigma) * values
+                                         for name, values in want
                                          if name == "standard_normal"])
-            assert scaled.dtype == want_noise.dtype
+            assert scaled.dtype == want_noise.dtype == dtype
             assert np.array_equal(scaled, want_noise)
         else:
             assert all(noise is None for _, noise, _ in tiles)
