@@ -234,11 +234,20 @@ class LinkSimulator:
 
     Detection is screened: a row within the trust radius of its sent point
     (:func:`modem.trust_thresholds`) provably detects as that point, so only
-    the other rows go through the full metric (:func:`modem.nearest_points`).
-    The decisions, and so the bit errors, are those of the full metric on
-    every row.  A bad CIL matrix raises DimensionMismatch or SingularMatrix,
-    and a constellation of another (scheme, M) than the config's raises
-    InvalidParameter, at construction, before any run starts.
+    the other rows, the suspects, need a search.  From M =
+    ``modem._LIST_MIN_ORDER`` on, each suspect is first decided among its
+    sent point's nearest neighbours (:func:`modem.list_decisions`), and only
+    the near-ties and outliers those cannot prove go through the full metric
+    (:func:`modem.nearest_points`); below it every suspect does.  The
+    neighbour lists are built by the first run with sigma > 0, on the
+    calling thread, so a noiseless run builds none.  The decisions, and so
+    the bit errors, are those of the full metric on every row.
+
+    The zero-forcing coefficients are built only with FDE on, so a channel
+    whose spectrum has a null raises SpectralNull only then.  A bad CIL
+    matrix raises DimensionMismatch or SingularMatrix, and a constellation
+    of another (scheme, M) than the config's raises InvalidParameter, at
+    construction, before any run starts.
     """
 
     def __init__(self, config: ExperimentConfig,
@@ -270,11 +279,16 @@ class LinkSimulator:
         # full metric: suspect_rows / detected_rows is the suspect share
         self.detected_rows = 0
         self.suspect_rows = 0
+        # neighbour lists: built by the first run with noise; None below
+        # M = 1024
+        self._neighbours = None
         self.labels = self.constellation.labels
-        zfe = fde.build_zfe(self.taps.astype(float), config.n)
-        # real-input FFT needs only the first N/2 + 1 bins
-        ctype = np.complex64 if dtype == np.float32 else np.complex128
-        self.zfe_half = zfe[:config.n // 2 + 1].astype(ctype)
+        self.zfe_half = None
+        if config.fde:
+            zfe = fde.build_zfe(self.taps.astype(float), config.n)
+            # real-input FFT needs only the first N/2 + 1 bins
+            ctype = np.complex64 if dtype == np.float32 else np.complex128
+            self.zfe_half = zfe[:config.n // 2 + 1].astype(ctype)
         self.dtype = dtype
 
     def run(self, sigma: float, n_bits: int, seed,
@@ -310,6 +324,9 @@ class LinkSimulator:
         if not (np.isfinite(sigma) and sigma >= 0):
             raise InvalidParameter(f"sigma must be finite and >= 0, got {sigma}")
         sigma = float(sigma)
+        if sigma > 0 and self._neighbours is None:
+            self._neighbours = modem.neighbour_lists(self.constellation,
+                                                    self.dtype)
         # +1: the stream's first block is a warm-up, drawn but not counted
         blocks = int(np.ceil(n_bits / (self.k * n))) + 1
         queued = errors = bits = 0
@@ -393,7 +410,8 @@ class LinkSimulator:
             payload = fde.equalize(payload, self.zfe_half)
         return modem.count_bit_errors(
             payload.reshape(nb * n, bands)[skip:], tx.reshape(nb * n, bands)[skip:],
-            tx_idx[skip:], self.trust_sq, self.ct, self.half_norms, self.labels)
+            tx_idx[skip:], self.trust_sq, self.ct, self.half_norms,
+            self.labels, self._neighbours)
 
 
 def run_ber_point(config: ExperimentConfig, snr_o_db: float,

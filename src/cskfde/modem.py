@@ -3,7 +3,10 @@ count."""
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .colorimetry import Constellation
 from .errors import InvalidPrefix, LengthMismatch
@@ -33,7 +36,10 @@ def frame(tx_blocks, cp: int) -> np.ndarray:
 # most METRIC_TILE_ENTRIES entries, so its memory is bounded whatever the
 # number of rows, and a tile stays in cache.  Rows that provably sit deep
 # inside the decision region of a known point (see trust_thresholds) need no
-# metric at all.  docs/decisions.md records the argument and its measurements.
+# metric at all.  At large orders, most of the other rows are decided among
+# the sent point's nearest neighbours (see list_decisions), and only proven
+# near-ties take the full metric.  docs/decisions.md records the argument and
+# its measurements.
 
 METRIC_TILE_ENTRIES = 1 << 16
 TRUST_FRACTION = 0.45  # c in the trust radius c * nn_j; any c < 1/2 is exact
@@ -42,6 +48,18 @@ TRUST_MARGIN = 10.0    # proven metric gap over the float error bound
 # Above this share of suspect rows, the full metric runs over the contiguous
 # rows: gathering nearly all of them costs more than it saves.
 _GATHER_MAX_SHARE = 0.75
+
+# The smallest order whose suspects are decided among neighbour lists (see
+# list_decisions) before the full metric.  On one 256-block tile's suspects,
+# lists and fallback took 0.52 ms against 1.76 ms of full metric at
+# QLED-1024 (28 dB), but 0.97 against 0.94 ms at QLED-256 (24 dB).
+_LIST_MIN_ORDER = 1024
+
+# Each point's list holds itself and its 8 nearest points, so R_j is about
+# 2 nn_j.  Of 3064 suspects of a QLED-4096 tile at 31 dB, lists of K = 4, 6,
+# 8 and 12 left 437, 171, 158 and 158 rows to the full metric: 8 is the
+# smallest K that leaves only the near-ties, and each K costs every suspect.
+_NEIGHBOURS = 8
 
 
 def detection_metric(constellation: Constellation, dtype=float):
@@ -90,6 +108,21 @@ def nearest_points(rows, ct, half_norms) -> np.ndarray:
     return out
 
 
+def _gamma(k, u):
+    """gamma_k = k u / (1 - k u): k roundings of unit roundoff u."""
+    return k * u / (1 - k * u)
+
+
+def _metric_error(n_bands, dtype):
+    """The factors (a, b) of the bound a * A + b * H on the rounding error of
+    a detection metric computed in ``dtype``, with A a bound on the dot
+    product's sum of |r_i c_ki| and H on the half norm: see
+    :func:`trust_thresholds`."""
+    u = float(np.finfo(dtype).eps) / 2
+    return (_gamma(n_bands, u) + u * (1 + _gamma(n_bands, u)),
+            _gamma(n_bands + 1, u) + u * (1 + _gamma(n_bands + 1, u)))
+
+
 def trust_thresholds(constellation: Constellation, dtype=float) -> np.ndarray:
     """Squared trust radii: a row r whose squared distance to point j,
     computed in ``dtype``, is below ``thresholds[j]`` detects as j under
@@ -126,20 +159,17 @@ def trust_thresholds(constellation: Constellation, dtype=float) -> np.ndarray:
     pts = exact.astype(dtype).astype(float)
     n_bands = pts.shape[1]
     u = float(np.finfo(dtype).eps) / 2
-
-    def gamma(k):
-        return k * u / (1 - k * u)
-
     offset = pts - exact
     shift = np.sqrt(np.einsum("ij,ij->i", offset, offset).max())
     nn = constellation.nearest_neighbour_distances - 2 * shift
     tau = np.square(np.maximum(TRUST_FRACTION * nn, 0).astype(dtype))
-    rho = np.sqrt(tau.astype(float) / (1 - gamma(n_bands + 2))) * (1 + 1e-12)
+    rho = np.sqrt(tau.astype(float) / (1 - _gamma(n_bands + 2, u))) \
+        * (1 + 1e-12)
     norm = np.sqrt(np.einsum("ij,ij->i", pts, pts))
     reach = (norm + rho) * norm.max()
     half = 0.5 * norm.max() ** 2
-    bound = 2 * ((gamma(n_bands) + u * (1 + gamma(n_bands))) * reach
-                 + (gamma(n_bands + 1) + u * (1 + gamma(n_bands + 1))) * half)
+    dot_err, half_err = _metric_error(n_bands, dtype)
+    bound = 2 * (dot_err * reach + half_err * half)
     gap = nn * (nn - 2 * rho) / 2
     trusted = (nn > 2 * rho) & (gap >= TRUST_MARGIN * bound)
     return np.where(trusted, tau, 0).astype(dtype)
@@ -152,6 +182,85 @@ def suspect_rows(received, sent, thresholds) -> np.ndarray:
     resid = received - sent
     dist2 = np.einsum("ij,ij->i", resid, resid)
     return np.flatnonzero(~(dist2 < thresholds))
+
+
+class Neighbours(NamedTuple):
+    """Per-point lists of :func:`list_decisions`, built from the points
+    rounded to the simulation dtype by :func:`neighbour_lists`."""
+
+    points: np.ndarray  # (M, n_bands) the rounded points, as float64
+    lists: np.ndarray   # (M, K + 1) j's nearest points, j itself included
+    reach: np.ndarray   # (M,) R_j: distance to the nearest point off j's list
+    err_slope: float    # the float bound of a row r's metrics is
+    err_floor: float    # E(r) = err_slope * ||r|| + err_floor
+
+
+def neighbour_lists(constellation: Constellation,
+                    dtype=float) -> Neighbours | None:
+    """The list of each point j of ``constellation`` rounded to ``dtype``: j
+    and its ``_NEIGHBOURS`` nearest points, with R_j the computed distance
+    from j to the next nearest.  None below ``_LIST_MIN_ORDER`` points,
+    where the full metric alone is faster."""
+    if constellation.order < _LIST_MIN_ORDER:
+        return None
+    points = constellation.intensities.astype(dtype).astype(float)
+    size = _NEIGHBOURS + 1
+    dist, idx = cKDTree(points).query(points, k=size + 1)
+    top = np.sqrt(np.einsum("ij,ij->i", points, points).max())
+    dot_err, half_err = _metric_error(points.shape[1], dtype)
+    return Neighbours(points, idx[:, :size], dist[:, size], dot_err * top,
+                      half_err * 0.5 * top ** 2)
+
+
+def list_decisions(rows, sent_idx, neighbours: Neighbours) -> np.ndarray:
+    """The index each row detects as under :func:`nearest_points`, decided
+    among the list of its sent point ``sent_idx``, or -1 where the list
+    cannot prove it: near-ties, NaN or infinite rows and far outliers.
+
+    Every point off the list of j is at least R_j - s from a row r sent as
+    j, with s = ||r - c_j||.  So with d1 and d2 the best and second best of
+    the list's distances and d2' = min(d2, R_j - s), the exact metric of the
+    list's argmin beats every other point's by at least (d2'^2 - d1^2) / 2.
+    The argmin is proven when that gap exceeds TRUST_MARGIN times 2 E(r),
+    the float bound of :func:`trust_thresholds` with ||r|| in the
+    Cauchy-Schwarz term.  The distances are computed in float64, and each
+    is widened or shrunk by a relative slack far above its rounding.  A tie
+    in the list gives a zero gap, so ties take the full metric.  A row with
+    s >= R_j leaves no room for d2' and is not searched at all, so rows far
+    beyond the lists' reach cost one distance each.
+    """
+    points, lists, reach, err_slope, err_floor = neighbours
+    slack = 64 * np.finfo(float).eps  # the distances round at most (n + 3) u
+    out = np.full(len(rows), -1, dtype=np.intp)
+    r = rows.astype(float)
+    # inf and NaN rows are left to the full metric, without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        resid = np.take(points, sent_idx, axis=0)
+        resid -= r
+        s = np.sqrt(np.einsum("ij,ij->i", resid, resid))
+        off_list = reach[sent_idx] * (1 - slack) - s * (1 + slack)
+    # a NaN s fails this test too
+    near = np.flatnonzero(off_list > 0)
+    r, off_list = np.take(r, near, axis=0), off_list[near]
+    cand = np.take(lists, sent_idx[near], axis=0)
+    best = np.zeros(len(r), dtype=np.intp)
+    best_sq = np.full(len(r), np.inf)
+    second_sq = best_sq.copy()
+    # a column at a time: no (rows, K + 1, bands) temporary, and no slower
+    for k in range(cand.shape[1]):
+        resid = np.take(points, cand[:, k], axis=0)
+        resid -= r
+        dist2 = np.einsum("ij,ij->i", resid, resid)
+        closer = dist2 < best_sq
+        second_sq = np.where(closer, best_sq, np.minimum(second_sq, dist2))
+        best[closer] = k
+        best_sq = np.where(closer, dist2, best_sq)
+    second_sq = np.minimum(second_sq, off_list ** 2) * (1 - slack)
+    bound = 2 * TRUST_MARGIN * (
+        err_slope * np.sqrt(np.einsum("ij,ij->i", r, r)) + err_floor)
+    proven = (second_sq - best_sq * (1 + slack)) / 2 > bound
+    out[near] = np.where(proven, cand[np.arange(len(r)), best], -1)
+    return out
 
 
 def ml_detect(received, constellation: Constellation) -> np.ndarray:
@@ -169,21 +278,32 @@ def ml_detect(received, constellation: Constellation) -> np.ndarray:
 
 
 def count_bit_errors(rows, sent_rows, sent_idx, trust_sq, ct, half_norms,
-                     labels):
+                     labels, neighbours: Neighbours | None = None):
     """Bit errors of detecting ``rows`` when the points ``sent_idx`` (at
     intensities ``sent_rows``) were sent, and how many rows were suspect.
 
     The detection is screened: a row inside the trust radius of its sent
     point (``trust_sq``, from :func:`trust_thresholds`) detects as that
-    point, so only the suspect rows go through :func:`nearest_points`, or
-    every row once suspects are more than ``_GATHER_MAX_SHARE`` of them.
-    The errors are those of the full metric on every row.  A bit error is a
-    set bit of the XOR of the sent and the detected ``labels``.
+    point, and the other rows are the suspects.  Given ``neighbours`` (from
+    :func:`neighbour_lists`), each suspect is decided among its sent point's
+    list (:func:`list_decisions`), and only the rows the lists leave go
+    through :func:`nearest_points`.  Without them, the suspects go through
+    :func:`nearest_points`, or every row does once suspects are more than
+    ``_GATHER_MAX_SHARE`` of them.  The errors are those of the full metric
+    on every row.  A bit error is a set bit of the XOR of the sent and the
+    detected ``labels``.
     """
     suspects = suspect_rows(rows, sent_rows, trust_sq[sent_idx])
     n_suspects = len(suspects)
-    if n_suspects > _GATHER_MAX_SHARE * len(sent_idx):
-        suspects = slice(None)
-    det_idx = nearest_points(rows[suspects], ct, half_norms)
+    if neighbours is not None:
+        det_idx = list_decisions(np.take(rows, suspects, axis=0),
+                                 sent_idx[suspects], neighbours)
+        left = np.flatnonzero(det_idx < 0)
+        det_idx[left] = nearest_points(np.take(rows, suspects[left], axis=0),
+                                       ct, half_norms)
+    else:
+        if n_suspects > _GATHER_MAX_SHARE * len(sent_idx):
+            suspects = slice(None)
+        det_idx = nearest_points(rows[suspects], ct, half_norms)
     diff = labels[det_idx] ^ labels[sent_idx[suspects]]
     return int(np.bitwise_count(diff).sum()), n_suspects

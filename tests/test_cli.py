@@ -180,6 +180,22 @@ class TestLoopbackCommand:
 
 
 class TestBerCurveCommand:
+    @pytest.mark.parametrize("fde,code", [("off", 0), ("on", 1)])
+    def test_spectral_null_fails_only_the_equalised_link(self, capsys, fde,
+                                                          code):
+        """At Dt = 1e12 the channel's spectrum has a null: only the
+        zero-forcing equaliser, which divides by it, cannot be built."""
+        assert cli.run(["ber-curve", "--scheme", "qled", "--order", "4",
+                        "--fde", fde, "--dt", "1e12", "--snr", "10"]) == code
+        captured = capsys.readouterr()
+        if fde == "on":
+            assert captured.err.startswith("error: SpectralNull:")
+            assert captured.out == ""
+        else:
+            assert captured.err == ""
+            assert captured.out.splitlines()[1].startswith(
+                "qled,4,1e+12,0,10.0000,")
+
     def test_writes_csv(self, tmp_path, fast_config):
         out = tmp_path / "curve.csv"
         code = cli.run(["ber-curve", "--scheme", "qled", "--order", "4",

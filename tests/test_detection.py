@@ -8,6 +8,7 @@ stop rule's meaning of ``censored``: a run that stops decisively below
 ``stop_target`` is not censored, so that return reads False.
 """
 
+import dataclasses
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -89,8 +90,8 @@ SNRS = (0.0, 8.0, 16.0, 24.0, 32.0, None)  # None: noiseless
 
 
 def _assert_matches_reference(sim, seeds=(1, 2), blocks=12, chunk_blocks=5,
-                              **kwargs):
-    for snr in SNRS:
+                              snrs=SNRS, **kwargs):
+    for snr in snrs:
         sigma = 0.0 if snr is None else harness.sigma_from_snr(snr)
         for seed in seeds:
             args = (sigma, blocks * sim.config.n * sim.k, seed)
@@ -116,6 +117,61 @@ def test_screened_run_equals_full_metric(scheme, order, fde_on, dt):
 def test_screened_run_equals_full_metric_float64(scheme, order):
     cfg = harness.ExperimentConfig(scheme=scheme, order=order, dt=1.0)
     _assert_matches_reference(harness.LinkSimulator(cfg, dtype=np.float64))
+
+
+@pytest.fixture()
+def metric_rows(monkeypatch):
+    """The list that counts the rows each call of ``modem.nearest_points``
+    gets: the rows that reach the full metric."""
+    reached = []
+    nearest = modem.nearest_points
+
+    def counting(rows, *args):
+        reached.append(len(rows))
+        return nearest(rows, *args)
+    monkeypatch.setattr(modem, "nearest_points", counting)
+    return reached
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fde_on,dt", [(True, 1.0), (True, 0.1), (False, 0.1)])
+@pytest.mark.parametrize("order", [1024, 4096])
+def test_listed_run_equals_full_metric(metric_rows, order, fde_on, dt, dtype):
+    """At large orders the suspects are decided among neighbour lists, and
+    only the rows the lists cannot prove reach the full metric.  At 0 and
+    16 dB nearly every row lies beyond its list's reach and takes the full
+    metric; from 24 dB on most suspects are proven."""
+    cfg = harness.ExperimentConfig(scheme="qled", order=order, dt=dt,
+                                   fde=fde_on)
+    sim = harness.LinkSimulator(cfg, dtype=dtype)
+    _assert_matches_reference(sim, seeds=(1, 2, 3), snrs=(0.0, 16.0))
+    # a run that stops drops the tiles in flight, whose rows reached the
+    # full metric but whose suspects are not counted: count from here
+    metric_rows.clear()
+    low_suspects = sim.suspect_rows
+    snrs = (24.0, 26.0, 28.0, 32.0)
+    _assert_matches_reference(sim, seeds=(1, 2, 3), snrs=snrs)
+    _assert_matches_reference(sim, seeds=(4,), snrs=snrs, stop_target=1e-3,
+                              min_bit_errors=20)
+    assert 0 < sum(metric_rows) < sim.suspect_rows - low_suspects
+    assert sim._neighbours is not None
+
+
+def test_noiseless_run_builds_no_lists(metric_rows):
+    """The lists are built by the first run with noise, not before."""
+    cfg = harness.ExperimentConfig(scheme="qled", order=4096, dt=1.0)
+    sim = harness.LinkSimulator(cfg)
+    _assert_matches_reference(sim, snrs=(None,))
+    assert sim._neighbours is None
+    _assert_matches_reference(sim, snrs=(30.0,))
+    assert sim._neighbours is not None
+
+
+def test_small_orders_build_no_lists(metric_rows):
+    cfg = harness.ExperimentConfig(scheme="qled", order=256, dt=1.0)
+    sim = harness.LinkSimulator(cfg)
+    _assert_matches_reference(sim, snrs=(24.0,))
+    assert sim._neighbours is None and sum(metric_rows) >= sim.suspect_rows
 
 
 @pytest.mark.parametrize("scheme,order,fde_on", [("qled", 4, True),
@@ -309,3 +365,101 @@ def test_nearest_neighbour_distances_cached_and_brute_force_exact():
     d = np.linalg.norm(c.intensities[:, None] - c.intensities[None], axis=-1)
     np.fill_diagonal(d, np.inf)
     np.testing.assert_allclose(nn, d.min(axis=1), rtol=1e-12)
+    # each list holds its point and its nearest others; R_j bounds the rest
+    order = 1024
+    c = col.build_qled_constellation(order)
+    for dtype in (np.float32, np.float64):
+        lists = modem.neighbour_lists(c, dtype)
+        assert lists.lists.shape == (order, modem._NEIGHBOURS + 1)
+        assert (lists.lists == np.arange(order)[:, None]).any(axis=1).all()
+        d = np.linalg.norm(lists.points[:, None] - lists.points[None], axis=-1)
+        listed = np.zeros((order, order), dtype=bool)
+        listed[np.arange(order)[:, None], lists.lists] = True
+        assert (np.where(listed, np.inf, d).min(axis=1) >= lists.reach).all()
+        assert (np.where(listed, d, 0).max(axis=1) <= lists.reach).all()
+
+
+def _list_decisions(constellation, rows, sent, dtype=np.float32):
+    """The lists' decisions, and the full metric's; each decision the lists
+    prove must be the full metric's."""
+    rows = rows.astype(dtype)
+    got = modem.list_decisions(rows, sent,
+                               modem.neighbour_lists(constellation, dtype))
+    with np.errstate(invalid="ignore"):  # inf * 0 in the product
+        full = modem.nearest_points(
+            rows, *modem.detection_metric(constellation, dtype))
+    proven = got >= 0
+    np.testing.assert_array_equal(got[proven], full[proven])
+    return got, full
+
+
+def test_lists_leave_nan_and_infinite_rows_to_the_full_metric():
+    c = col.build_qled_constellation(1024)
+    rows = np.repeat(c.intensities[:4], 4, axis=0)
+    for i, bad in enumerate((np.nan, np.inf, -np.inf, 1e38)):
+        rows[4 * i:4 * i + 4, i] = bad
+    sent = np.repeat(np.arange(4), 4)
+    for dtype in (np.float32, np.float64):
+        got, _ = _list_decisions(c, rows, sent, dtype)
+        assert (got == -1).all()
+
+
+def test_lists_on_rows_far_outside_the_gamut():
+    """Beyond R_j / 2 a row may still sit near a listed point; beyond R_j
+    nothing is proven."""
+    c = col.build_qled_constellation(1024)
+    lists = modem.neighbour_lists(c, np.float32)
+    rng = np.random.default_rng(7)
+    sent = rng.integers(0, c.order, 4000)
+    push = rng.standard_normal((len(sent), c.n_bands))
+    push /= np.linalg.norm(push, axis=1)[:, None]
+    s = lists.reach[sent] * rng.uniform(0.5, 1.5, len(sent))
+    rows = lists.points[sent] + s[:, None] * push
+    proven = _list_decisions(c, rows, sent)[0] >= 0
+    assert proven.any() and not proven[s > lists.reach[sent]].any()
+    huge = lists.points[sent] + 1e3 * push
+    assert (_list_decisions(c, huge, sent)[0] == -1).all()
+
+
+def test_rows_on_a_bisector_go_to_the_full_metric():
+    """A row equidistant from two neighbours ties; the full metric gives
+    the lower index, and the lists prove nothing."""
+    c = col.build_qled_constellation(1024)
+    points = c.intensities.copy()
+    # two dyadic points mirrored in the first two bands tie exactly at their
+    # midpoint, whatever the rounding
+    points[[5, 6]] = [[0.25, 0.375, 0.25, 0.125], [0.375, 0.25, 0.25, 0.125]]
+    c = dataclasses.replace(c, intensities=points)
+    lists = modem.neighbour_lists(c, np.float32)
+    mid = np.array([[0.3125, 0.3125, 0.25, 0.125]] * 2)
+    got, full = _list_decisions(c, mid, np.array([5, 6]))
+    np.testing.assert_array_equal(got, [-1, -1])
+    np.testing.assert_array_equal(full, [5, 5])
+    # the midpoint of each point and its nearest neighbour, where those two
+    # are the nearest: near-ties
+    sent, other = np.arange(c.order), lists.lists[:, 1]
+    mids = (lists.points[sent] + lists.points[other]) / 2
+    got, full = _list_decisions(c, mids, sent)
+    tied = (full == sent) | (full == other)
+    assert tied.sum() > c.order / 2 and (got[tied] == -1).all()
+
+
+def test_lists_with_a_duplicated_point(metric_rows):
+    """Coincident points tie at every row; the full metric decides them."""
+    c = col.build_qled_constellation(1024)
+    points = c.intensities.copy()
+    points[9] = points[10]
+    c = dataclasses.replace(c, intensities=points)
+    lists = modem.neighbour_lists(c, np.float32)
+    assert {9, 10} <= set(lists.lists[9]) and {9, 10} <= set(lists.lists[10])
+    rng = np.random.default_rng(3)
+    sent = rng.integers(0, c.order, 4000)
+    sent[:200] = 9
+    rows = lists.points[sent] + 0.01 * rng.standard_normal((4000, c.n_bands))
+    got, _ = _list_decisions(c, rows, sent)
+    assert (got >= 0).any() and not np.isin(got, [9, 10]).any()
+    metric_rows.clear()
+    cfg = harness.ExperimentConfig(scheme="qled", order=1024, dt=1.0)
+    sim = harness.LinkSimulator(cfg, c)
+    _assert_matches_reference(sim, snrs=(26.0, 30.0))
+    assert 0 < sum(metric_rows) < sim.suspect_rows
