@@ -47,6 +47,7 @@ _SLICE_BLOCKS = 512
 _SNR_LO_DB, _SNR_HI_DB, _BRACKET_DB = 0.0, 40.0, 0.1
 
 _SYMBOL_RATE = 24e6  # Rs in symbols/s: the paper's 24 MHz system bandwidth
+_ZIGGURAT_R = 3.6541528853610088  # where numpy's normal sampler's tail starts
 
 
 def qfunc_inv(p: float) -> float:
@@ -232,16 +233,10 @@ class LinkSimulator:
     The run shuts the pool down on every exit, cancelling the tasks not yet
     started, so no thread outlives the call.
 
-    Detection is screened: a row within the trust radius of its sent point
-    (:func:`modem.trust_thresholds`) provably detects as that point, so only
-    the other rows, the suspects, need a search.  From M =
-    ``modem._LIST_MIN_ORDER`` on, each suspect is first decided among its
-    sent point's nearest neighbours (:func:`modem.list_decisions`), and only
-    the near-ties and outliers those cannot prove go through the full metric
-    (:func:`modem.nearest_points`); below it every suspect does.  The
-    neighbour lists are built by the first run with sigma > 0, on the
-    calling thread, so a noiseless run builds none.  The decisions, and so
-    the bit errors, are those of the full metric on every row.
+    Detection is screened and exact (:func:`modem.count_bit_errors`).  Its
+    neighbour lists, used from M = ``modem._LIST_MIN_ORDER`` on, are built
+    by the first run with sigma > 0, on the calling thread, so a noiseless
+    run builds none.
 
     The zero-forcing coefficients are built only with FDE on, so a channel
     whose spectrum has a null raises SpectralNull only then.  A bad CIL
@@ -275,13 +270,11 @@ class LinkSimulator:
         self.points = self.constellation.intensities.astype(dtype)
         self.ct, self.half_norms = modem.detection_metric(self.constellation, dtype)
         self.trust_sq = modem.trust_thresholds(self.constellation, dtype)
-        # rows counted for bit errors, and those the trust test left to the
-        # full metric: suspect_rows / detected_rows is the suspect share
+        # rows counted for bit errors, and those the trust test left to a
+        # search: suspect_rows / detected_rows is the suspect share
         self.detected_rows = 0
         self.suspect_rows = 0
-        # neighbour lists: built by the first run with noise; None below
-        # M = 1024
-        self._neighbours = None
+        self._neighbours = None  # see the class docstring
         self.labels = self.constellation.labels
         self.zfe_half = None
         if config.fde:
@@ -290,6 +283,11 @@ class LinkSimulator:
             ctype = np.complex64 if dtype == np.float32 else np.complex128
             self.zfe_half = zfe[:config.n // 2 + 1].astype(ctype)
         self.dtype = dtype
+        draw = _ZIGGURAT_R + (np.finfo(dtype).nmant + 1) * np.log(2) / _ZIGGURAT_R
+        gain = max(1, np.linalg.norm(self.g_inv, np.inf))
+        if config.fde:
+            gain *= config.n ** 2 * np.abs(self.zfe_half).max()
+        self._sigma_max = float(np.finfo(dtype).max / (2 * gain * draw))
 
     def run(self, sigma: float, n_bits: int, seed,
             stop_target: Optional[float] = None,
@@ -302,9 +300,16 @@ class LinkSimulator:
         ``n_bits`` before ``min_bit_errors`` and no decisive comparison
         against ``stop_target`` ended it first.  Raises InvalidParameter,
         before any thread starts, unless ``n_bits``, ``min_bit_errors`` and
-        ``chunk_blocks`` are >= 1 and ``sigma`` is finite and >= 0.  The noise
+        ``chunk_blocks`` are >= 1 and 0 <= ``sigma`` <= sigma_max.  The noise
         is ``float(sigma)`` times draws in the simulator's dtype, so a sigma of
         any real type gives the same bits, and sigma = 0 draws none.
+
+        sigma_max = max(dtype) / (2 gain D) keeps every stage finite
+        (docs/decisions.md derives it): numpy's ziggurat draws |z| < D =
+        r + b ln 2 / r, with r = 3.654 and b = 24 bits in float32 (D = 8.21);
+        gain = max(1, ||G^-1||_inf), times N^2 max |Z| with FDE on; the 2
+        covers the signal.  In float32 that is SNR_o -327 to -330 dB with FDE at N = 64,
+        and -366 dB without.
 
         Schedule: each chunk is sized as it is queued.  The worker's queue
         holds its indices, its noise slices, then one task per tile, and the
@@ -321,8 +326,9 @@ class LinkSimulator:
                             ("chunk_blocks", chunk_blocks)):
             if value < 1:
                 raise InvalidParameter(f"{name} must be >= 1, got {value}")
-        if not (np.isfinite(sigma) and sigma >= 0):
-            raise InvalidParameter(f"sigma must be finite and >= 0, got {sigma}")
+        if not 0 <= sigma <= self._sigma_max:
+            raise InvalidParameter(
+                f"sigma must be in [0, {self._sigma_max:.4g}], got {sigma}")
         sigma = float(sigma)
         if sigma > 0 and self._neighbours is None:
             self._neighbours = modem.neighbour_lists(self.constellation,
@@ -400,7 +406,7 @@ class LinkSimulator:
         n, cp, bands = self.config.n, self.config.cp, self.n_bands
         tx_idx = symbols.result()[rows]
         nb = len(tx_idx) // n
-        tx = self.points[tx_idx].reshape(nb, n, bands)
+        tx = np.take(self.points, tx_idx, axis=0).reshape(nb, n, bands)
         rx = chan.disperse(modem.frame(tx, cp), self.taps) @ self.g.T
         if noise is not None:
             rx += noise.result()

@@ -36,18 +36,14 @@ def frame(tx_blocks, cp: int) -> np.ndarray:
 # most METRIC_TILE_ENTRIES entries, so its memory is bounded whatever the
 # number of rows, and a tile stays in cache.  Rows that provably sit deep
 # inside the decision region of a known point (see trust_thresholds) need no
-# metric at all.  At large orders, most of the other rows are decided among
-# the sent point's nearest neighbours (see list_decisions), and only proven
-# near-ties take the full metric.  docs/decisions.md records the argument and
-# its measurements.
+# metric at all.  The other rows, the suspects, are gathered; at large orders
+# most of them are decided among the sent point's nearest neighbours (see
+# list_decisions), and exactly the rest take the full metric.
+# docs/decisions.md records the argument and its measurements.
 
 METRIC_TILE_ENTRIES = 1 << 16
 TRUST_FRACTION = 0.45  # c in the trust radius c * nn_j; any c < 1/2 is exact
 TRUST_MARGIN = 10.0    # proven metric gap over the float error bound
-
-# Above this share of suspect rows, the full metric runs over the contiguous
-# rows: gathering nearly all of them costs more than it saves.
-_GATHER_MAX_SHARE = 0.75
 
 # The smallest order whose suspects are decided among neighbour lists (see
 # list_decisions) before the full metric.  On one 256-block tile's suspects,
@@ -286,24 +282,20 @@ def count_bit_errors(rows, sent_rows, sent_idx, trust_sq, ct, half_norms,
     point (``trust_sq``, from :func:`trust_thresholds`) detects as that
     point, and the other rows are the suspects.  Given ``neighbours`` (from
     :func:`neighbour_lists`), each suspect is decided among its sent point's
-    list (:func:`list_decisions`), and only the rows the lists leave go
-    through :func:`nearest_points`.  Without them, the suspects go through
-    :func:`nearest_points`, or every row does once suspects are more than
-    ``_GATHER_MAX_SHARE`` of them.  The errors are those of the full metric
-    on every row.  A bit error is a set bit of the XOR of the sent and the
-    detected ``labels``.
+    list (:func:`list_decisions`); without them, none is.  Exactly the
+    suspects left undecided go through :func:`nearest_points`, so the errors
+    are those of the full metric on every row.  A bit error is a set bit of
+    the XOR of the sent and the detected ``labels``.
     """
     suspects = suspect_rows(rows, sent_rows, trust_sq[sent_idx])
-    n_suspects = len(suspects)
-    if neighbours is not None:
-        det_idx = list_decisions(np.take(rows, suspects, axis=0),
-                                 sent_idx[suspects], neighbours)
-        left = np.flatnonzero(det_idx < 0)
-        det_idx[left] = nearest_points(np.take(rows, suspects[left], axis=0),
-                                       ct, half_norms)
+    sent = sent_idx[suspects]
+    if neighbours is None:
+        det_idx = np.full(len(suspects), -1, dtype=np.intp)
     else:
-        if n_suspects > _GATHER_MAX_SHARE * len(sent_idx):
-            suspects = slice(None)
-        det_idx = nearest_points(rows[suspects], ct, half_norms)
-    diff = labels[det_idx] ^ labels[sent_idx[suspects]]
-    return int(np.bitwise_count(diff).sum()), n_suspects
+        det_idx = list_decisions(np.take(rows, suspects, axis=0), sent,
+                                 neighbours)
+    left = np.flatnonzero(det_idx < 0)
+    det_idx[left] = nearest_points(np.take(rows, suspects[left], axis=0),
+                                   ct, half_norms)
+    diff = labels[det_idx] ^ labels[sent]
+    return int(np.bitwise_count(diff).sum()), len(suspects)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 import yaml
@@ -114,6 +115,21 @@ class TestParsing:
         path.write_bytes(b"order: \xc3\x28\n")
         assert cli.run([str(path) if a == "UNDECODABLE" else a for a in argv]) == 2
         assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("argv", [
+        ["--snr", "-390"],
+        ["--dt", "1", "--snr", "-370"],
+    ])
+    def test_snr_whose_noise_overflows_float32_exits_2(self, argv, capsys,
+                                                      started_threads):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(["ber-curve", "--scheme", "qled", "--order", "4"]
+                           + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: InvalidParameter: sigma must be")
+        assert captured.out == ""
+        assert started_threads == []
 
     @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
     def test_non_finite_snr_is_a_usage_error(self, snr, capsys, started_threads,

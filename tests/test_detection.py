@@ -168,10 +168,15 @@ def test_noiseless_run_builds_no_lists(metric_rows):
 
 
 def test_small_orders_build_no_lists(metric_rows):
+    """Below M = 1024 exactly the suspects reach the full metric, also when
+    most rows but not all are suspects (20 dB).  The runs end on their bit
+    budget, so no tile in flight is dropped and every suspect is counted."""
     cfg = harness.ExperimentConfig(scheme="qled", order=256, dt=1.0)
     sim = harness.LinkSimulator(cfg)
-    _assert_matches_reference(sim, snrs=(24.0,))
-    assert sim._neighbours is None and sum(metric_rows) >= sim.suspect_rows
+    _assert_matches_reference(sim, snrs=(20.0,), min_bit_errors=1 << 62)
+    assert 0.8 * sim.detected_rows < sim.suspect_rows < sim.detected_rows
+    _assert_matches_reference(sim, snrs=(24.0,), min_bit_errors=1 << 62)
+    assert sim._neighbours is None and sum(metric_rows) == sim.suspect_rows
 
 
 @pytest.mark.parametrize("scheme,order,fde_on", [("qled", 4, True),

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -641,6 +642,7 @@ class TestDrawPipeline:
         (float("inf"), 1000, {}, "sigma"),
         (-0.5, 1000, {"min_bit_errors": 5}, "sigma"),
         (np.float64(-0.5), 1000, {}, "sigma"),
+        (1e39, 1000, {}, "sigma"),
     ])
     def test_bad_run_arguments_raise_before_any_thread(
             self, started_threads, sigma, n_bits, kwargs, name):
@@ -648,6 +650,20 @@ class TestDrawPipeline:
         with pytest.raises(InvalidParameter, match=f"^{name} must be"):
             sim.run(sigma, n_bits, 1, **kwargs)
         assert started_threads == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fde_on,dt", [(True, 1.0), (False, 0.0)])
+    def test_largest_sigma_runs_and_the_next_is_refused(self, dtype, fde_on,
+                                                         dt):
+        """At sigma_max every stage stays finite, so the run warns nothing
+        and detects about half the bits wrong; a sigma above it raises."""
+        sim = harness.LinkSimulator(fast_cfg(dt=dt, fde=fde_on), dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors, bits, _ = sim.run(sim._sigma_max, 100_000, 1)
+        assert 0.45 < errors / bits < 0.55
+        with pytest.raises(InvalidParameter, match="^sigma must be"):
+            sim.run(np.nextafter(sim._sigma_max, np.inf), 100_000, 1)
 
     def test_a_stop_cancels_the_next_chunks_noise(self, monkeypatch):
         """A run that stops on its first chunk waits for at most the noise
