@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from dataclasses import replace
 
@@ -220,8 +221,13 @@ _COMMANDS = {
 }
 
 
+# Built by the first call of ``run`` and kept for the process: a build costs
+# about 30 parses, and a parse mutates nothing (``append`` copies its default).
+_shared_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

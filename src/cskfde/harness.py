@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, get_type_hints
 
@@ -41,6 +41,8 @@ from .errors import InvalidConfig, InvalidParameter, InvalidTarget, UnsupportedO
 
 # Each chunk's noise is drawn, and its blocks go through the chain, in
 # tiles of this many blocks, one task each, so a stop waits for at most one.
+# A run of at most one tile, warm-up block included, has nothing to overlap
+# and runs its tasks inline, with no worker thread.
 _SLICE_BLOCKS = 512
 
 # The bisection's search range and its stopping bracket, in dB of SNR_o.
@@ -200,6 +202,20 @@ class PowerRequirement:
         return f"{self.requirement_db:.2f}" if self.achievable else "inf"
 
 
+class _Inline:
+    """The ``submit`` and ``shutdown`` of an executor that runs each task on
+    the caller as it is queued, so an error is raised at once.  A one-tile
+    run uses it in place of the worker: it starts no thread."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
 class LinkSimulator:
     """Vectorised end-to-end link for one configuration.
 
@@ -221,17 +237,20 @@ class LinkSimulator:
 
     The run works in chunks of blocks on two threads.  A one-worker
     ``ThreadPoolExecutor`` alone uses the Philox generator: it draws each
-    chunk's symbol indices in one call, then its scaled noise in one task
-    per ``_SLICE_BLOCKS`` slice, with the calls and in the order of a serial
+    chunk's symbol indices in one call, then its noise in one bare fill per
+    ``_SLICE_BLOCKS`` slice, with the calls and in the order of a serial
     loop.  Each slice is also a tile, which one thread takes through the
-    whole chain: behind the chunk's noise the worker's queue holds one task
-    per tile, and the calling thread goes through the tiles in order, taking
-    back each task that ``Future.cancel()`` shows the worker has not started
-    and running it itself.  The worker runs the tiles it reaches first.
-    Blocks are independent, so the errors summed over the tiles are those of
-    the serial loop, bit for bit.  The stop rule is checked once per chunk.
+    whole chain, scaling its noise by sigma: behind the chunk's noise the
+    worker's queue holds one task per tile, and the calling thread goes
+    through the tiles in order, taking back each task that
+    ``Future.cancel()`` shows the worker has not started and running it
+    itself.  The worker runs the tiles it reaches first.  Blocks are
+    independent, so the errors summed over the tiles are those of the
+    serial loop, bit for bit.  The stop rule is checked once per chunk.
     The run shuts the pool down on every exit, cancelling the tasks not yet
-    started, so no thread outlives the call.
+    started, so no thread outlives the call.  A run whose blocks, warm-up
+    included, fit in one tile has nothing to overlap: the same tasks run
+    inline on the caller, in the same order, and no thread starts.
 
     Detection is screened and exact (:func:`modem.count_bit_errors`).  Its
     neighbour lists, used from M = ``modem._LIST_MIN_ORDER`` on, are built
@@ -299,9 +318,10 @@ class LinkSimulator:
         Returns (errors, bits, censored); ``censored`` means the run used up
         ``n_bits`` before ``min_bit_errors`` and no decisive comparison
         against ``stop_target`` ended it first.  Raises InvalidParameter,
-        before any thread starts, unless ``n_bits``, ``min_bit_errors`` and
-        ``chunk_blocks`` are >= 1 and 0 <= ``sigma`` <= sigma_max.  The noise
-        is ``float(sigma)`` times draws in the simulator's dtype, so a sigma of
+        before any thread starts, unless ``n_bits`` and ``chunk_blocks`` are
+        finite and >= 1, ``min_bit_errors`` >= 1, ``stop_target`` None or in
+        (0, 1) and 0 <= ``sigma`` <= sigma_max.  The noise is
+        ``float(sigma)`` times draws in the simulator's dtype, so a sigma of
         any real type gives the same bits, and sigma = 0 draws none.
 
         sigma_max = max(dtype) / (2 gain D) keeps every stage finite
@@ -317,15 +337,23 @@ class LinkSimulator:
         runs each tile whose task it cancels before the worker starts it,
         then collects the worker's tiles, so an error in a tile or a draw on
         either thread is raised here, a worker's when the caller collects
-        that chunk.  On any exit the run waits for at most one task.
+        that chunk.  On any exit the run waits for at most one task.  A run
+        of ``blocks <= min(chunk_blocks, _SLICE_BLOCKS)`` queues its tasks
+        on ``_Inline``, which runs each one as it is queued.
         """
         cfg = self.config
         n, cp, bands = cfg.n, cfg.cp, self.n_bands
         min_errors = cfg.min_bit_errors if min_bit_errors is None else min_bit_errors
         for name, value in (("n_bits", n_bits), ("min_bit_errors", min_errors),
                             ("chunk_blocks", chunk_blocks)):
-            if value < 1:
+            if not value >= 1:  # NaN too
                 raise InvalidParameter(f"{name} must be >= 1, got {value}")
+        for name, value in (("n_bits", n_bits), ("chunk_blocks", chunk_blocks)):
+            if value == np.inf:
+                raise InvalidParameter(f"{name} must be finite, got {value}")
+        if stop_target is not None and not 0 < stop_target < 1:
+            raise InvalidParameter(
+                f"stop_target must be in (0, 1), got {stop_target}")
         if not 0 <= sigma <= self._sigma_max:
             raise InvalidParameter(
                 f"sigma must be in [0, {self._sigma_max:.4g}], got {sigma}")
@@ -337,11 +365,8 @@ class LinkSimulator:
         blocks = int(np.ceil(n_bits / (self.k * n))) + 1
         queued = errors = bits = 0
         rng, order = chan.make_rng(seed), self.constellation.order
-        pool = ThreadPoolExecutor(1, thread_name_prefix="cskfde-draws")
-
-        def fill(part):  # ufuncs return their ``out``
-            return np.multiply(rng.standard_normal(part.shape, dtype=self.dtype),
-                               sigma, out=part)
+        pool = (_Inline() if blocks <= min(chunk_blocks, _SLICE_BLOCKS) else
+                ThreadPoolExecutor(1, thread_name_prefix="cskfde-draws"))
 
         def queue():
             """Queue the next chunk's indices, its noise slices (Philox fills
@@ -362,8 +387,9 @@ class LinkSimulator:
             for start in range(0, nb, _SLICE_BLOCKS):
                 stop = start + _SLICE_BLOCKS
                 part = None if noise is None else pool.submit(
-                    fill, noise[start * (n + cp):stop * (n + cp)])
-                tiles.append((symbols, part, slice(start * n, stop * n),
+                    rng.standard_normal, dtype=self.dtype,
+                    out=noise[start * (n + cp):stop * (n + cp)])
+                tiles.append((symbols, part, sigma, slice(start * n, stop * n),
                               0 if start else skip))
             return (nb - 1 if skip else nb,
                     [(pool.submit(self._tile, *tile), tile) for tile in tiles])
@@ -398,10 +424,11 @@ class LinkSimulator:
             pool.shutdown(cancel_futures=True)
         return errors, bits, errors < min_errors
 
-    def _tile(self, symbols, noise, rows: slice, skip: int):
+    def _tile(self, symbols, noise, sigma: float, rows: slice, skip: int):
         """(errors, suspects) of one tile, the blocks of one draw slice:
         ``rows`` of the chunk's indices, which the task ``symbols`` gives,
-        and the task ``noise`` (None when sigma = 0) gives its noise.  The
+        and the task ``noise`` (None when sigma = 0) gives the standard
+        normal draws that, scaled by ``sigma`` in place, are its noise.  The
         first ``skip`` rows are not counted."""
         n, cp, bands = self.config.n, self.config.cp, self.n_bands
         tx_idx = symbols.result()[rows]
@@ -409,7 +436,8 @@ class LinkSimulator:
         tx = np.take(self.points, tx_idx, axis=0).reshape(nb, n, bands)
         rx = chan.disperse(modem.frame(tx, cp), self.taps) @ self.g.T
         if noise is not None:
-            rx += noise.result()
+            drawn = noise.result()
+            rx += np.multiply(drawn, sigma, out=drawn)
         rx = rx @ self.g_inv.T
         payload = rx.reshape(nb, n + cp, bands)[:, cp:]
         if self.config.fde:

@@ -229,6 +229,23 @@ class TestBerCurveCommand:
         assert cli.run(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_consecutive_calls_write_their_own_grids(self, tmp_path,
+                                                     fast_config):
+        """``run`` keeps one parser: a second call's --snr list does not
+        carry the first call's values, and its CSV is a fresh call's."""
+        argv = ["ber-curve", "--scheme", "qled", "--order", "4", "--dt", "0.5",
+                "--config", fast_config, "--seed", "5"]
+        a, b, fresh = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "f.csv"
+        assert cli.run(argv + ["--snr", "6", "--snr", "8", "--out", str(a)]) == 0
+        assert cli.run(argv + ["--snr", "7", "--out", str(b)]) == 0
+        snrs = [[row.split(",")[4] for row in path.read_text().splitlines()[1:]]
+                for path in (a, b)]
+        assert snrs == [["6.0000", "8.0000"], ["7.0000"]]
+        args = cli.build_parser().parse_args(argv + ["--snr", "7",
+                                                     "--out", str(fresh)])
+        assert cli._COMMANDS[args.command](args) == 0
+        assert b.read_bytes() == fresh.read_bytes()
+
     def test_matches_library_curve_on_sorted_grid(self, tmp_path):
         """The command is run_ber_curve over the sorted grid, with the
         config file's sources and G matrix."""

@@ -252,6 +252,20 @@ def test_worker_run_warmup_tile_equals_full_metric(monkeypatch, tile_threads,
     assert ("worker", cfg.n) in ran_on
 
 
+@pytest.mark.parametrize("snr", [31.0, None])
+def test_one_tile_run_starts_no_thread_and_equals_full_metric(started_threads,
+                                                              snr):
+    """A QLED-4096 point of 196608 bits is 257 blocks with the warm-up, one
+    tile: it runs inline, with noise at 31 dB and noiseless as a loopback."""
+    cfg = harness.ExperimentConfig(scheme="qled", order=4096, dt=1.0)
+    sim = harness.LinkSimulator(cfg)
+    args = (0.0 if snr is None else harness.sigma_from_snr(snr), 196608, 1)
+    got = sim.run(*args)
+    assert started_threads == []
+    assert got == reference_run(sim, *args)
+    assert got[0] > 0 if snr else got[0] == 0
+
+
 def test_numpy_float64_sigma_equals_full_metric():
     """A numpy float64 sigma gives the noise of the same sigma as a Python
     float, in the simulator's dtype."""

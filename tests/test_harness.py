@@ -443,7 +443,8 @@ def _slowed_noise(monkeypatch):
 
 def _recorded_draws(monkeypatch):
     """Makes each run's generator the real stream with each call's name and
-    values recorded; returns the list of (name, values) it fills."""
+    values recorded; returns the list of (name, values) it fills.  Noise is
+    recorded as a copy, since a tile scales the filled slice in place."""
     make_rng, calls = chan.make_rng, []
 
     class RecordingRng:
@@ -455,9 +456,9 @@ def _recorded_draws(monkeypatch):
             return calls[-1][1]
 
         def standard_normal(self, *args, **kwargs):
-            calls.append(("standard_normal",
-                          self.rng.standard_normal(*args, **kwargs)))
-            return calls[-1][1]
+            draw = self.rng.standard_normal(*args, **kwargs)
+            calls.append(("standard_normal", draw.copy()))
+            return draw
     monkeypatch.setattr(chan, "make_rng", RecordingRng)
     return calls
 
@@ -635,21 +636,47 @@ class TestDrawPipeline:
     @pytest.mark.parametrize("sigma,n_bits,kwargs,name", [
         (0.1, 0, {}, "n_bits"),
         (0.1, -100, {}, "n_bits"),
-        (0.1, 1000, {"min_bit_errors": 0}, "min_bit_errors"),
-        (0.1, 1000, {"min_bit_errors": -5}, "min_bit_errors"),
-        (0.1, 1000, {"chunk_blocks": 0}, "chunk_blocks"),
-        (float("nan"), 1000, {}, "sigma"),
-        (float("inf"), 1000, {}, "sigma"),
-        (-0.5, 1000, {"min_bit_errors": 5}, "sigma"),
-        (np.float64(-0.5), 1000, {}, "sigma"),
-        (1e39, 1000, {}, "sigma"),
+        (0.1, float("nan"), {}, "n_bits"),
+        (0.1, float("inf"), {}, "n_bits"),
+        (0.1, 10 ** 6, {"min_bit_errors": 0}, "min_bit_errors"),
+        (0.1, 10 ** 6, {"min_bit_errors": -5}, "min_bit_errors"),
+        (0.1, 10 ** 6, {"min_bit_errors": float("nan")}, "min_bit_errors"),
+        (0.1, 10 ** 6, {"chunk_blocks": 0}, "chunk_blocks"),
+        (0.1, 10 ** 6, {"chunk_blocks": float("nan")}, "chunk_blocks"),
+        (0.1, 10 ** 6, {"chunk_blocks": float("inf")}, "chunk_blocks"),
+        (0.1, 10 ** 6, {"stop_target": float("nan")}, "stop_target"),
+        (0.1, 10 ** 6, {"stop_target": 0.0}, "stop_target"),
+        (0.1, 10 ** 6, {"stop_target": 1.0}, "stop_target"),
+        (0.1, 10 ** 6, {"stop_target": -1e-3}, "stop_target"),
+        (0.1, 10 ** 6, {"stop_target": float("inf")}, "stop_target"),
+        (float("nan"), 10 ** 6, {}, "sigma"),
+        (float("inf"), 10 ** 6, {}, "sigma"),
+        (-0.5, 10 ** 6, {"min_bit_errors": 5}, "sigma"),
+        (np.float64(-0.5), 10 ** 6, {}, "sigma"),
+        (1e39, 10 ** 6, {}, "sigma"),
     ])
     def test_bad_run_arguments_raise_before_any_thread(
             self, started_threads, sigma, n_bits, kwargs, name):
+        """10**6 bits are 7814 blocks, more than one tile, so a valid run
+        with these arguments would start its worker."""
         sim = harness.LinkSimulator(fast_cfg())
         with pytest.raises(InvalidParameter, match=f"^{name} must be"):
             sim.run(sigma, n_bits, 1, **kwargs)
         assert started_threads == []
+
+    @pytest.mark.parametrize("counted,chunk_blocks,workers", [
+        (511, 4096, 0), (512, 4096, 1), (2, 3, 0), (3, 3, 1)])
+    def test_only_a_run_of_more_than_one_tile_starts_a_worker(
+            self, started_threads, counted, chunk_blocks, workers):
+        """A run whose blocks, the warm-up block with them, fit in one
+        ``_SLICE_BLOCKS`` tile of one chunk runs inline and starts no
+        thread; any other run starts exactly one ``cskfde-draws`` worker."""
+        sim = harness.LinkSimulator(fast_cfg())
+        _, bits, _ = sim.run(0.1, counted * 64 * sim.k, 1,
+                             min_bit_errors=1 << 30, chunk_blocks=chunk_blocks)
+        assert bits == counted * 64 * sim.k
+        assert len(started_threads) == workers
+        assert all(name.startswith("cskfde-draws") for name in started_threads)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("fde_on,dt", [(True, 1.0), (False, 0.0)])
@@ -739,9 +766,10 @@ class TestDrawPipeline:
     def test_chunk_draws_are_the_serial_draws(self, monkeypatch, dtype, sigma):
         """The generator calls a run makes, in two-block noise slices, give
         the serial loop's values in its order: per chunk ``integers``, then
-        ``standard_normal`` when sigma > 0.  The noise each tile receives is
-        its slice of ``float(sigma) * standard_normal``, in the simulator's
-        dtype, whatever type sigma has."""
+        ``standard_normal`` when sigma > 0.  Each tile receives its slice of
+        the draws, and the noise it adds, its slice scaled in place, is
+        ``float(sigma) * standard_normal`` in the simulator's dtype,
+        whatever type sigma has."""
         n, cp, order, bands = 8, 2, 64, 4
         rng, want = chan.make_rng((1, 7)), []
         for nb in [5, 5, 3]:
@@ -753,9 +781,12 @@ class TestDrawPipeline:
         calls = _recorded_draws(monkeypatch)
         tile, tiles = harness.LinkSimulator._tile, []
 
-        def recording_tile(sim, symbols, noise, rows, skip):
-            tiles.append((symbols, noise, rows))
-            return tile(sim, symbols, noise, rows, skip)
+        def recording_tile(sim, symbols, noise, scale, rows, skip):
+            drawn = None if noise is None else noise.result().copy()
+            counts = tile(sim, symbols, noise, scale, rows, skip)
+            tiles.append((symbols, drawn, None if noise is None
+                          else noise.result(), rows))
+            return counts
         monkeypatch.setattr(harness.LinkSimulator, "_tile", recording_tile)
         sim = harness.LinkSimulator(fast_cfg(order=order, n=n, cp=cp),
                                     dtype=dtype)
@@ -769,19 +800,19 @@ class TestDrawPipeline:
         assert [name for name, _ in got] == [name for name, _ in want]
         for (_, a), (_, b) in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        # each tile's noise argument, in the order of its chunk's draw and
-        # of its rows
+        # each tile's draws and added noise, in the order of its chunk's
+        # draw and of its rows
         chunk_of = {id(values): i for i, (_, values) in enumerate(calls)}
-        tiles.sort(key=lambda t: (chunk_of[id(t[0].result())], t[2].start))
+        tiles.sort(key=lambda t: (chunk_of[id(t[0].result())], t[3].start))
         if sigma > 0:
-            scaled = np.concatenate([noise.result() for _, noise, _ in tiles])
-            want_noise = np.concatenate([float(sigma) * values
-                                         for name, values in want
+            drawn, added = (np.concatenate([t[i] for t in tiles]) for i in (1, 2))
+            want_drawn = np.concatenate([values for name, values in want
                                          if name == "standard_normal"])
-            assert scaled.dtype == want_noise.dtype == dtype
-            assert np.array_equal(scaled, want_noise)
+            assert np.array_equal(drawn, want_drawn)
+            assert added.dtype == dtype
+            assert np.array_equal(added, float(sigma) * want_drawn)
         else:
-            assert all(noise is None for _, noise, _ in tiles)
+            assert all(t[1] is t[2] is None for t in tiles)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("order", [4, 16, 64, 4096])
