@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DimensionMismatch,
@@ -33,6 +32,10 @@ QLED_ORDERS = (4, 8, 16, 64, 256, 1024, 4096)
 
 _DET_EPS = 1e-12
 _GAMUT_EPS = 1e-9
+# From this order, where modem's neighbour lists start, the nearest-neighbour
+# search is a scipy.spatial tree; below it a pairwise numpy search takes a
+# few ms at most and loads no scipy module.
+_TREE_MIN_ORDER = 1024
 
 
 def _validate_chromaticity(c) -> None:
@@ -223,9 +226,23 @@ class Constellation:
     @cached_property
     def nearest_neighbour_distances(self) -> np.ndarray:
         """(M,) read-only: intensity-space distance from each point to its
-        nearest other point (0 for coincident points), computed once."""
-        dist, _ = cKDTree(self.intensities).query(self.intensities, k=2)
-        nearest = dist[:, 1]
+        nearest other point (0 for coincident points), computed once.
+
+        Below ``_TREE_MIN_ORDER`` points the search is pairwise in numpy,
+        whose distances equal ``scipy.spatial.cKDTree``'s bit for bit at
+        every TLED and QLED order shipped, and no scipy module is loaded.
+        From that order the tree is used: the pairwise search's (M, M,
+        bands) temporary grows past tens of MB, and the neighbour lists of
+        :func:`modem.neighbour_lists` load the tree there anyway."""
+        p = self.intensities
+        if self.order < _TREE_MIN_ORDER:
+            diff = p[:, None] - p[None]
+            d2 = (diff * diff).sum(axis=-1)
+            np.fill_diagonal(d2, np.inf)
+            nearest = np.sqrt(d2.min(axis=1))
+        else:
+            from scipy.spatial import cKDTree
+            nearest = cKDTree(p).query(p, k=2)[0][:, 1]
         nearest.setflags(write=False)
         return nearest
 

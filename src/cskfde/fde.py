@@ -8,7 +8,6 @@ reads sum |x|^2 == (1/N) sum |X|^2.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft as _sfft
 
 from .errors import InvalidLength, SpectralNull
 
@@ -60,11 +59,13 @@ def equalize(payload, zfe_half) -> np.ndarray:
     Real FFT along each block, multiplication by the first N/2 + 1
     zero-forcing coefficients ``zfe_half``, inverse real FFT.  The output is
     real by construction; the coefficients of real taps are conjugate
-    symmetric, so the other N/2 - 1 bins carry nothing new.
+    symmetric, so the other N/2 - 1 bins carry nothing new.  scipy.fft is
+    imported here, so that only an equalised run loads it.
     """
-    spectrum = _sfft.rfft(payload, axis=1)
+    import scipy.fft
+    spectrum = scipy.fft.rfft(payload, axis=1)
     spectrum *= zfe_half[None, :, None]
-    return _sfft.irfft(spectrum, n=payload.shape[1], axis=1)
+    return scipy.fft.irfft(spectrum, n=payload.shape[1], axis=1)
 
 
 def equalize_block(rx_block, zfe) -> np.ndarray:

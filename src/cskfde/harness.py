@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
-from scipy.special import erfcinv
 
 from . import channel as chan
 from . import colorimetry, fde, modem
@@ -54,6 +53,7 @@ _ZIGGURAT_R = 3.6541528853610088  # where numpy's normal sampler's tail starts
 
 def qfunc_inv(p: float) -> float:
     """Inverse Gaussian tail function Q^-1."""
+    from scipy.special import erfcinv  # here: only the bisection needs it
     return float(np.sqrt(2.0) * erfcinv(2.0 * p))
 
 

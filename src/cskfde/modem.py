@@ -6,7 +6,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .colorimetry import Constellation
 from .errors import InvalidPrefix, LengthMismatch
@@ -196,9 +195,12 @@ def neighbour_lists(constellation: Constellation,
     """The list of each point j of ``constellation`` rounded to ``dtype``: j
     and its ``_NEIGHBOURS`` nearest points, with R_j the computed distance
     from j to the next nearest.  None below ``_LIST_MIN_ORDER`` points,
-    where the full metric alone is faster."""
+    where the full metric alone is faster.  The search is a
+    ``scipy.spatial`` tree, imported here, so that only a run at M >=
+    ``_LIST_MIN_ORDER`` loads it."""
     if constellation.order < _LIST_MIN_ORDER:
         return None
+    from scipy.spatial import cKDTree
     points = constellation.intensities.astype(dtype).astype(float)
     size = _NEIGHBOURS + 1
     dist, idx = cKDTree(points).query(points, k=size + 1)

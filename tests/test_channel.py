@@ -8,7 +8,7 @@ import pytest
 from scipy.signal import lfilter
 
 from cskfde import channel as chan
-from cskfde import modem
+from cskfde import harness, modem
 from cskfde.colorimetry import QLED_ORDERS
 from cskfde.errors import DimensionMismatch, InvalidParameter, SingularMatrix
 
@@ -147,6 +147,62 @@ def test_package_import_loads_no_module(src_env):
 def test_yaml_is_loaded_only_to_read_a_config_file(src_env):
     code = "import sys, cskfde.cli; print('yaml' in sys.modules)"
     assert _fresh_python(code, src_env) == "False"
+
+
+def _scipy_after_cli(*commands) -> str:
+    """Code that runs each CLI argv in turn, its output discarded, then
+    prints which of scipy.fft, scipy.special and scipy.spatial are loaded."""
+    return ("import contextlib, io, sys\n"
+            "import cskfde.channel, cskfde.colorimetry, cskfde.config\n"
+            "import cskfde.errors, cskfde.fde, cskfde.harness, cskfde.modem\n"
+            "from cskfde import cli\n"
+            f"for argv in {list(commands)!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "            contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert cli.run(argv) == 0, argv\n"
+            "print(sorted(m for m in ('scipy.fft', 'scipy.special',\n"
+            "                         'scipy.spatial') if m in sys.modules))\n")
+
+
+def test_unequalised_and_small_runs_load_no_scipy_module(src_env):
+    """scipy.fft, scipy.special and scipy.spatial are imported by the one
+    function that uses each, so importing the package, the help, a
+    constellation export and an unequalised small-M curve load none."""
+    code = _scipy_after_cli(
+        ["--help"], ["constellation", "--scheme", "qled", "--order", "64"],
+        ["ber-curve", "--scheme", "tled", "--order", "16", "--dt", "0.5",
+         "--fde", "off", "--snr", "18"])
+    assert _fresh_python(code, src_env) == "[]"
+
+
+def test_equalised_run_loads_scipy_fft_and_large_order_scipy_spatial(src_env):
+    code = _scipy_after_cli(
+        ["ber-curve", "--scheme", "tled", "--order", "16", "--dt", "1.0",
+         "--fde", "on", "--snr", "10"])
+    loaded = _fresh_python(code, src_env)
+    assert "'scipy.fft'" in loaded and "'scipy.spatial'" not in loaded
+    code = _scipy_after_cli(
+        ["loopback-check", "--scheme", "qled", "--order", "1024",
+         "--bits", "40960"])
+    assert "'scipy.spatial'" in _fresh_python(code, src_env)
+
+
+def test_first_equalised_tiles_import_scipy_fft_on_two_threads(src_env):
+    """A multi-tile FDE run in a fresh process imports scipy.fft in its
+    first ``equalize``, possibly on the draw thread and the caller at once,
+    and returns the triple of the same run in this process."""
+    cfg = dict(scheme="qled", order=4, dt=1.0, fde=True)
+    args = (harness.sigma_from_snr(14.0), 1200 * 128, (5, 0))  # three tiles
+    code = ("import sys\n"
+            "from cskfde import harness\n"
+            "assert 'scipy.fft' not in sys.modules\n"
+            f"sim = harness.LinkSimulator(harness.ExperimentConfig(**{cfg!r}))\n"
+            f"got = sim.run(*{args!r}, min_bit_errors=1 << 62)\n"
+            "assert 'scipy.fft' in sys.modules\n"
+            "print(tuple(got))\n")
+    sim = harness.LinkSimulator(harness.ExperimentConfig(**cfg))
+    expected = tuple(sim.run(*args, min_bit_errors=1 << 62))
+    assert _fresh_python(code, src_env) == str(expected)
 
 
 class TestApplyChannel:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.fft as _sfft
 from scipy.signal import lfilter
+from scipy.spatial import cKDTree
 
 from cskfde import channel as chan
 from cskfde import colorimetry as col
@@ -377,16 +378,41 @@ def test_qled_4096_full_chunk_in_bounded_memory():
     assert peak < 512 * 2 ** 20, peak
 
 
-def test_nearest_neighbour_distances_cached_and_brute_force_exact():
+def _tree_distances(points):
+    return cKDTree(points).query(points, k=2)[0][:, 1]
+
+
+def test_nearest_neighbour_distances_cached_and_brute_force_exact(monkeypatch):
     c = col.build_tled_constellation(16)
     nn = c.nearest_neighbour_distances
     assert nn is c.nearest_neighbour_distances
     d = np.linalg.norm(c.intensities[:, None] - c.intensities[None], axis=-1)
     np.fill_diagonal(d, np.inf)
-    np.testing.assert_allclose(nn, d.min(axis=1), rtol=1e-12)
+    np.testing.assert_array_equal(nn, d.min(axis=1))
+    # the pairwise search below col._TREE_MIN_ORDER points and the tree from
+    # it give the tree's distances bit for bit, so the trust thresholds too
+    coincident = dataclasses.replace(
+        c, intensities=np.repeat(c.intensities[:8], 2, axis=0))
+    assert not coincident.nearest_neighbour_distances.any()
+    shipped = [col.build_constellation(col.TLED, m) for m in col.TLED_ORDERS]
+    shipped += [col.build_constellation(col.QLED, m) for m in col.QLED_ORDERS]
+    assert min(x.order for x in shipped) < col._TREE_MIN_ORDER \
+        <= max(x.order for x in shipped)
+    for x in shipped + [coincident]:
+        tree = _tree_distances(x.intensities)
+        assert np.array_equal(x.nearest_neighbour_distances, tree), x.order
+        from_tree = dataclasses.replace(x)
+        from_tree.__dict__["nearest_neighbour_distances"] = tree
+        for dtype in (np.float32, np.float64):
+            assert np.array_equal(modem.trust_thresholds(x, dtype),
+                                  modem.trust_thresholds(from_tree, dtype))
+    # QLED-1024, the switch's order, searched pairwise as well
+    monkeypatch.setattr(col, "_TREE_MIN_ORDER", 2048)
+    c = col.build_qled_constellation(1024)
+    assert np.array_equal(c.nearest_neighbour_distances,
+                          _tree_distances(c.intensities))
     # each list holds its point and its nearest others; R_j bounds the rest
-    order = 1024
-    c = col.build_qled_constellation(order)
+    order = c.order
     for dtype in (np.float32, np.float64):
         lists = modem.neighbour_lists(c, dtype)
         assert lists.lists.shape == (order, modem._NEIGHBOURS + 1)
