@@ -1,8 +1,10 @@
 """Frequency-domain zero-forcing equalisation of cyclic-prefixed blocks.
 
 Transform convention used throughout the package: the forward DFT carries no
-scale factor and the inverse carries 1/N, so idft(dft(x)) == x and Parseval
-reads sum |x|^2 == (1/N) sum |X|^2.
+scale factor and the inverse carries 1/N, so the inverse of the forward
+transform of x is x and Parseval reads sum |x|^2 == (1/N) sum |X|^2.  numpy's
+``fft`` (the channel spectrum of :func:`build_zfe`) and scipy's ``rfft`` and
+``irfft`` (:func:`equalize`) follow it.
 """
 
 from __future__ import annotations
@@ -17,20 +19,6 @@ _NULL_EPS = 1e-12
 def _check_block_length(n: int) -> None:
     if n < 2 or (n & (n - 1)) != 0:
         raise InvalidLength(f"block length must be a power of two, got {n}")
-
-
-def dft(block) -> np.ndarray:
-    """Forward DFT (no scaling) of a length-N block, N a power of two."""
-    x = np.asarray(block)
-    _check_block_length(x.shape[0])
-    return np.fft.fft(x, axis=0)
-
-
-def idft(spectrum) -> np.ndarray:
-    """Inverse DFT (1/N scaling); exact inverse of dft."""
-    x = np.asarray(spectrum)
-    _check_block_length(x.shape[0])
-    return np.fft.ifft(x, axis=0)
 
 
 def build_zfe(taps, n: int) -> np.ndarray:

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import Future, ThreadPoolExecutor
+import os
+import threading
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, get_type_hints
 
@@ -39,10 +41,14 @@ from . import colorimetry, fde, modem
 from .errors import InvalidConfig, InvalidParameter, InvalidTarget, UnsupportedOrder
 
 # Each chunk's noise is drawn, and its blocks go through the chain, in
-# tiles of this many blocks, one task each, so a stop waits for at most one.
-# A run of at most one tile, warm-up block included, has nothing to overlap
-# and runs its tasks inline, with no worker thread.
+# tiles of this many blocks.  On the draw pipeline each tile is one task, so
+# a stop waits for at most one; the serial loop draws each tile's noise into
+# one tile-sized buffer per run.
 _SLICE_BLOCKS = 512
+_CHUNK_BLOCKS = 4096
+
+# Guards the simulator's row counters, which side-by-side runs share.
+_COUNTS = threading.Lock()
 
 # The bisection's search range and its stopping bracket, in dB of SNR_o.
 _SNR_LO_DB, _SNR_HI_DB, _BRACKET_DB = 0.0, 40.0, 0.1
@@ -202,20 +208,6 @@ class PowerRequirement:
         return f"{self.requirement_db:.2f}" if self.achievable else "inf"
 
 
-class _Inline:
-    """The ``submit`` and ``shutdown`` of an executor that runs each task on
-    the caller as it is queued, so an error is raised at once.  A one-tile
-    run uses it in place of the worker: it starts no thread."""
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future = Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
-
-    def shutdown(self, cancel_futures=False):
-        pass
-
-
 class LinkSimulator:
     """Vectorised end-to-end link for one configuration.
 
@@ -235,27 +227,37 @@ class LinkSimulator:
     Blocks are independent: each chunk is dispersed from rest, and a block's
     payload depends only on that block, since L >= ``N_TAPS`` - 1 if Dt > 0.
 
-    The run works in chunks of blocks on two threads.  A one-worker
-    ``ThreadPoolExecutor`` alone uses the Philox generator: it draws each
-    chunk's symbol indices in one call, then its noise in one bare fill per
-    ``_SLICE_BLOCKS`` slice, with the calls and in the order of a serial
-    loop.  Each slice is also a tile, which one thread takes through the
-    whole chain, scaling its noise by sigma: behind the chunk's noise the
-    worker's queue holds one task per tile, and the calling thread goes
-    through the tiles in order, taking back each task that
-    ``Future.cancel()`` shows the worker has not started and running it
-    itself.  The worker runs the tiles it reaches first.  Blocks are
-    independent, so the errors summed over the tiles are those of the
-    serial loop, bit for bit.  The stop rule is checked once per chunk.
-    The run shuts the pool down on every exit, cancelling the tasks not yet
-    started, so no thread outlives the call.  A run whose blocks, warm-up
-    included, fit in one tile has nothing to overlap: the same tasks run
-    inline on the caller, in the same order, and no thread starts.
+    A run works in chunks of blocks, and each chunk in tiles of
+    ``_SLICE_BLOCKS`` blocks, which one thread takes through the whole
+    chain, scaling its noise by sigma.  Per chunk the Philox generator
+    gets the calls of one serial loop, in its order: the chunk's symbol
+    indices in one call, then its noise in one bare fill per tile.  Blocks
+    are independent, so the errors summed over the tiles are those of the
+    serial loop, bit for bit, and the stop rule is checked once per chunk.
+    ``run`` has two schedules of those calls:
+
+    - the serial loop, on the calling thread: per chunk the index call,
+      then per tile its noise fill into one tile-sized buffer of the run,
+      then the tile.  It starts no thread.  A run whose blocks, warm-up
+      included, fit in one tile takes it, and so does every point of a
+      curve measured side by side (:func:`run_ber_curve`);
+    - the draw pipeline, for any other run: a one-worker
+      ``ThreadPoolExecutor`` alone uses the generator, and behind the
+      chunk's draws its queue holds one task per tile.  The calling thread
+      goes through the tiles in order, taking back each task that
+      ``Future.cancel()`` shows the worker has not started and running it
+      itself; the worker runs the tiles it reaches first.  The run shuts
+      the pool down on every exit, cancelling the tasks not yet started,
+      so no thread outlives the call.
+
+    Runs may share a simulator across threads: a run reads the simulator
+    and adds to its row counters under a lock.
 
     Detection is screened and exact (:func:`modem.count_bit_errors`).  Its
     neighbour lists, used from M = ``modem._LIST_MIN_ORDER`` on, are built
-    by the first run with sigma > 0, on the calling thread, so a noiseless
-    run builds none.
+    when a run is first checked with sigma > 0, before its first draw, so a
+    noiseless run builds none; :func:`run_ber_curve` checks every point
+    before its threads start, so they build none.
 
     The zero-forcing coefficients are built only with FDE on, so a channel
     whose spectrum has a null raises SpectralNull only then.  A bad CIL
@@ -311,7 +313,8 @@ class LinkSimulator:
     def run(self, sigma: float, n_bits: int, seed,
             stop_target: Optional[float] = None,
             min_bit_errors: Optional[int] = None,
-            chunk_blocks: int = 4096):
+            chunk_blocks: int = _CHUNK_BLOCKS, *,
+            alongside: Optional[threading.Event] = None):
         """Accumulate bit errors until ``n_bits``, the error floor of the
         stopping rule, or a decisive Wilson comparison against ``stop_target``.
 
@@ -331,19 +334,56 @@ class LinkSimulator:
         covers the signal.  In float32 that is SNR_o -327 to -330 dB with FDE at N = 64,
         and -366 dB without.
 
-        Schedule: each chunk is sized as it is queued.  The worker's queue
-        holds its indices, its noise slices, then one task per tile, and the
-        next chunk's are queued as the caller starts on this one.  The caller
-        runs each tile whose task it cancels before the worker starts it,
-        then collects the worker's tiles, so an error in a tile or a draw on
-        either thread is raised here, a worker's when the caller collects
-        that chunk.  On any exit the run waits for at most one task.  A run
-        of ``blocks <= min(chunk_blocks, _SLICE_BLOCKS)`` queues its tasks
-        on ``_Inline``, which runs each one as it is queued.
+        Schedule (see the class docstring): a run of ``blocks <=
+        min(chunk_blocks, _SLICE_BLOCKS)`` takes the serial loop, and any
+        other run the draw pipeline, unless ``alongside`` is given: the
+        event of a curve whose points run side by side
+        (:func:`run_ber_curve`).  Such a run takes the serial loop, and
+        once the event is set it raises CancelledError at the end of its
+        chunk, so a curve that fails or is interrupted stops its points
+        within a chunk.  Either way an error in a tile or a draw is raised
+        here, and the outputs are the same bytes.
         """
-        cfg = self.config
-        n, cp, bands = cfg.n, cfg.cp, self.n_bands
-        min_errors = cfg.min_bit_errors if min_bit_errors is None else min_bit_errors
+        min_errors = self._check(sigma, n_bits, stop_target, min_bit_errors,
+                                 chunk_blocks)
+        sigma = float(sigma)
+        # +1: the stream's first block is a warm-up, drawn but not counted
+        blocks = int(np.ceil(n_bits / (self.k * self.config.n))) + 1
+        schedule = (self._serial if alongside is not None or
+                    blocks <= min(chunk_blocks, _SLICE_BLOCKS) else self._pipelined)
+        chunks = schedule(sigma, blocks, chan.make_rng(seed), chunk_blocks)
+        errors = bits = 0
+        try:
+            for counted, chunk_errors, suspects in chunks:
+                rows = counted * self.config.n
+                with _COUNTS:
+                    self.detected_rows += rows
+                    self.suspect_rows += suspects
+                errors += chunk_errors
+                bits += rows * self.k
+                if stop_target is None:
+                    if errors >= min_errors:
+                        return errors, bits, False
+                else:
+                    # decisively below the target at any error count;
+                    # decisively above it only once the error floor is met
+                    lo, hi = wilson_interval(errors, bits)
+                    if hi < stop_target or (errors >= min_errors
+                                            and lo > stop_target):
+                        return errors, bits, False
+                if alongside is not None and alongside.is_set():
+                    raise CancelledError("the curve of this point stopped")
+        finally:
+            chunks.close()
+        return errors, bits, errors < min_errors
+
+    def _check(self, sigma, n_bits, stop_target=None, min_bit_errors=None,
+               chunk_blocks=_CHUNK_BLOCKS) -> int:
+        """Raise InvalidParameter for arguments that ``run`` refuses, and
+        build the neighbour lists for a sigma > 0; returns the run's error
+        floor."""
+        min_errors = (self.config.min_bit_errors if min_bit_errors is None
+                      else min_bit_errors)
         for name, value in (("n_bits", n_bits), ("min_bit_errors", min_errors),
                             ("chunk_blocks", chunk_blocks)):
             if not value >= 1:  # NaN too
@@ -357,21 +397,53 @@ class LinkSimulator:
         if not 0 <= sigma <= self._sigma_max:
             raise InvalidParameter(
                 f"sigma must be in [0, {self._sigma_max:.4g}], got {sigma}")
-        sigma = float(sigma)
         if sigma > 0 and self._neighbours is None:
             self._neighbours = modem.neighbour_lists(self.constellation,
                                                     self.dtype)
-        # +1: the stream's first block is a warm-up, drawn but not counted
-        blocks = int(np.ceil(n_bits / (self.k * n))) + 1
-        queued = errors = bits = 0
-        rng, order = chan.make_rng(seed), self.constellation.order
-        pool = (_Inline() if blocks <= min(chunk_blocks, _SLICE_BLOCKS) else
-                ThreadPoolExecutor(1, thread_name_prefix="cskfde-draws"))
+        return min_errors
+
+    def _serial(self, sigma: float, blocks: int, rng, chunk_blocks):
+        """The serial loop: yields (counted blocks, errors, suspects) per
+        chunk, drawing each tile's noise as the tile needs it."""
+        n, cp, order = self.config.n, self.config.cp, self.constellation.order
+        tile_blocks = int(min(chunk_blocks, blocks, _SLICE_BLOCKS))
+        noise = (np.empty((tile_blocks * (n + cp), self.n_bands), dtype=self.dtype)
+                 if sigma > 0 else None)
+        done = 0
+        while done < blocks:
+            nb = int(min(chunk_blocks, blocks - done))
+            skip = 0 if done else n  # tile 0 of chunk 0 skips the warm-up
+            done += nb
+            symbols = rng.integers(0, order, size=nb * n)
+            errors = suspects = 0
+            for start in range(0, nb, _SLICE_BLOCKS):
+                stop = min(start + _SLICE_BLOCKS, nb)
+                part = None
+                if noise is not None:
+                    part = noise[:(stop - start) * (n + cp)]
+                    rng.standard_normal(dtype=self.dtype, out=part)
+                tile_errors, tile_suspects = self._tile(
+                    symbols[start * n:stop * n], part, sigma, 0 if start else skip)
+                errors += tile_errors
+                suspects += tile_suspects
+            yield nb - 1 if skip else nb, errors, suspects
+
+    def _pipelined(self, sigma: float, blocks: int, rng, chunk_blocks):
+        """The draw pipeline: yields what ``_serial`` yields, with the draws
+        on a one-worker pool that also runs the tiles it reaches first."""
+        n, cp, bands = self.config.n, self.config.cp, self.n_bands
+        order, queued = self.constellation.order, 0
+        pool = ThreadPoolExecutor(1, thread_name_prefix="cskfde-draws")
+
+        def tile(symbols, noise, rows, skip):
+            return self._tile(symbols.result()[rows],
+                              None if noise is None else noise.result(),
+                              sigma, skip)
 
         def queue():
             """Queue the next chunk's indices, its noise slices (Philox fills
             are slice-invariant and tasks run in order, so the slices hold one
-            serial call's values) and a ``_tile`` task per slice.  Returns its
+            serial call's values) and a tile task per slice.  Returns its
             counted blocks and tiles (task, arguments), or None when none is left."""
             nonlocal queued
             nb = int(min(chunk_blocks, blocks - queued))
@@ -389,55 +461,38 @@ class LinkSimulator:
                 part = None if noise is None else pool.submit(
                     rng.standard_normal, dtype=self.dtype,
                     out=noise[start * (n + cp):stop * (n + cp)])
-                tiles.append((symbols, part, sigma, slice(start * n, stop * n),
+                tiles.append((symbols, part, slice(start * n, stop * n),
                               0 if start else skip))
             return (nb - 1 if skip else nb,
-                    [(pool.submit(self._tile, *tile), tile) for tile in tiles])
+                    [(pool.submit(tile, *args), args) for args in tiles])
 
         try:
             chunk = queue()
             while chunk is not None:
                 (counted, tiles), chunk = chunk, queue()
                 counts, kept = [], []
-                for task, tile in tiles:
+                for task, args in tiles:
                     if task.cancel():  # the worker has not started it
-                        counts.append(self._tile(*tile))
+                        counts.append(tile(*args))
                     else:
                         kept.append(task)
                 counts += [task.result() for task in kept]
                 chunk_errors, suspects = map(sum, zip(*counts))
-                self.detected_rows += counted * n
-                self.suspect_rows += suspects
-                errors += chunk_errors
-                bits += counted * n * self.k
-                if stop_target is None:
-                    if errors >= min_errors:
-                        return errors, bits, False
-                else:
-                    # decisively below the target at any error count;
-                    # decisively above it only once the error floor is met
-                    lo, hi = wilson_interval(errors, bits)
-                    if hi < stop_target or (errors >= min_errors
-                                            and lo > stop_target):
-                        return errors, bits, False
+                yield counted, chunk_errors, suspects
         finally:
             pool.shutdown(cancel_futures=True)
-        return errors, bits, errors < min_errors
 
-    def _tile(self, symbols, noise, sigma: float, rows: slice, skip: int):
-        """(errors, suspects) of one tile, the blocks of one draw slice:
-        ``rows`` of the chunk's indices, which the task ``symbols`` gives,
-        and the task ``noise`` (None when sigma = 0) gives the standard
-        normal draws that, scaled by ``sigma`` in place, are its noise.  The
+    def _tile(self, tx_idx, noise, sigma: float, skip: int):
+        """(errors, suspects) of one tile: the blocks of the symbol indices
+        ``tx_idx``, with ``noise`` (None when sigma = 0) the standard normal
+        draws that, scaled by ``sigma`` in place, are their noise.  The
         first ``skip`` rows are not counted."""
         n, cp, bands = self.config.n, self.config.cp, self.n_bands
-        tx_idx = symbols.result()[rows]
         nb = len(tx_idx) // n
         tx = np.take(self.points, tx_idx, axis=0).reshape(nb, n, bands)
         rx = chan.disperse(modem.frame(tx, cp), self.taps) @ self.g.T
         if noise is not None:
-            drawn = noise.result()
-            rx += np.multiply(drawn, sigma, out=drawn)
+            rx += np.multiply(noise, sigma, out=noise)
         rx = rx @ self.g_inv.T
         payload = rx.reshape(nb, n + cp, bands)[:, cp:]
         if self.config.fde:
@@ -450,13 +505,15 @@ class LinkSimulator:
 
 def run_ber_point(config: ExperimentConfig, snr_o_db: float,
                   simulator: Optional[LinkSimulator] = None,
-                  seed=None, stop_target: Optional[float] = None) -> BerPoint:
+                  seed=None, stop_target: Optional[float] = None, *,
+                  alongside: Optional[threading.Event] = None) -> BerPoint:
     """Measure BER at one optical SNR point.
 
     Runs until ``min_bit_errors`` errors or ``max_bits`` bits; a point that
     hits the bit budget first is flagged censored.  Deterministic per seed.
     A ``simulator`` built for a config that differs from ``config`` in more
-    than ``max_bits`` and ``seed`` raises InvalidParameter.
+    than ``max_bits`` and ``seed`` raises InvalidParameter.  ``alongside``
+    is passed on to :meth:`LinkSimulator.run`.
     """
     sim = simulator or LinkSimulator(config)
     built = sim.config
@@ -465,20 +522,55 @@ def run_ber_point(config: ExperimentConfig, snr_o_db: float,
     sigma = sigma_from_snr(snr_o_db)
     errors, bits, censored = sim.run(
         sigma, config.max_bits, config.seed if seed is None else seed,
-        stop_target=stop_target)
+        stop_target=stop_target, alongside=alongside)
     return BerPoint(snr_o_db, errors / bits, bits, errors, censored)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_ber_curve(config: ExperimentConfig, snr_grid: Sequence[float],
                   constellation=None, g_matrix=None) -> BerCurve:
-    """BER at each SNR in the grid, one derived RNG stream per point."""
+    """BER at each SNR in the grid, one derived RNG stream per point.
+
+    Point i draws from its own Philox stream (config.seed, i), so the
+    points are independent of the order they run in.  They are measured
+    side by side on one thread per CPU this process may run on, never more
+    threads than points, each on the serial schedule of
+    :meth:`LinkSimulator.run`; a one-point grid, or a process on one CPU,
+    measures them one after another on the calling thread, and an empty
+    grid gives an empty curve.  Either way the points come back in grid
+    order with the same bytes.  Every point's arguments are checked, and
+    the simulator's neighbour lists built, before any point starts, so bad
+    input raises before any thread starts.  When a point fails or the
+    caller is interrupted, the points not started are cancelled and those
+    running stop at the end of their chunk.
+    """
     sim = LinkSimulator(config, constellation, g_matrix)
-    curve = BerCurve(config)
-    for i, snr in enumerate(snr_grid):
-        point = run_ber_point(config, snr, simulator=sim,
-                              seed=(config.seed, i))
-        curve.points.append(point)
-    return curve
+    grid = list(snr_grid)
+    for snr in grid:
+        sim._check(sigma_from_snr(snr), config.max_bits)
+    threads = min(len(grid), _cpu_count())
+    if threads <= 1:
+        return BerCurve(config, [
+            run_ber_point(config, snr, simulator=sim, seed=(config.seed, i))
+            for i, snr in enumerate(grid)])
+    stop = threading.Event()
+
+    def measure(i):
+        return run_ber_point(config, grid[i], simulator=sim,
+                             seed=(config.seed, i), alongside=stop)
+
+    pool = ThreadPoolExecutor(threads, thread_name_prefix="cskfde-points")
+    try:
+        return BerCurve(config, list(pool.map(measure, range(len(grid)))))
+    finally:
+        stop.set()  # on an error or an interrupt, running points end a chunk
+        pool.shutdown(cancel_futures=True)
 
 
 def find_power_requirement(config: ExperimentConfig, constellation=None,

@@ -10,8 +10,12 @@ import pytest
 from cskfde import harness
 
 
-def _draw_threads():
-    return {t for t in threading.enumerate() if t.name.startswith("cskfde-draws")}
+# the run's draw worker, and the pool of run_ber_curve's side-by-side points
+_PREFIXES = ("cskfde-draws", "cskfde-points")
+
+
+def _cskfde_threads():
+    return {t for t in threading.enumerate() if t.name.startswith(_PREFIXES)}
 
 
 @pytest.fixture(scope="session")
@@ -27,13 +31,14 @@ def src_env():
 
 
 @pytest.fixture(autouse=True)
-def no_draw_thread_left():
-    """Fail any test that leaves a ``cskfde-draws`` worker alive: every exit
-    of ``LinkSimulator.run`` joins its pool before it returns or raises."""
-    before = _draw_threads()
+def no_cskfde_thread_left():
+    """Fail any test that leaves a ``cskfde-draws`` or ``cskfde-points``
+    thread alive: every exit of ``LinkSimulator.run`` and of
+    ``run_ber_curve`` joins its pool before it returns or raises."""
+    before = _cskfde_threads()
     yield
-    left = sorted(t.name for t in _draw_threads() - before)
-    assert not left, f"draw threads left running: {left}"
+    left = sorted(t.name for t in _cskfde_threads() - before)
+    assert not left, f"cskfde threads left running: {left}"
 
 
 @pytest.fixture()

@@ -137,16 +137,21 @@ def property_gate():
         if not np.allclose(reprojected, c.chromaticities, atol=1e-10):
             failures.append(f"{scheme}-{order}: chromaticity round trip broke")
 
-    # 5c. DFT against the naive oracle; inverse identity; Parseval
+    # 5c. the package's transforms against the naive DFT: the channel
+    # spectrum behind build_zfe (its coefficients are 1 / spectrum), the
+    # inverse identity of equalize's rfft/irfft pair; Parseval
     rng = np.random.default_rng(0)
     x = rng.normal(size=64)
     naive = np.array([np.sum(x * np.exp(-2j * np.pi * np.arange(64) * m / 64))
                       for m in range(64)])
-    if not np.allclose(fde.dft(x), naive, atol=1e-10):
-        failures.append("dft disagrees with naive oracle")
-    if not np.allclose(fde.idft(fde.dft(x)).real, x, atol=1e-12):
-        failures.append("idft(dft(x)) != x")
-    if abs(np.sum(x ** 2) - np.sum(np.abs(fde.dft(x)) ** 2) / 64) > 1e-9:
+    spectrum = 1.0 / fde.build_zfe(x, 64)
+    if not np.allclose(spectrum, naive, atol=1e-10):
+        failures.append("channel spectrum disagrees with the naive DFT")
+    identity = np.ones(33, dtype=complex)
+    if not np.allclose(fde.equalize(x[None, :, None], identity)[0, :, 0], x,
+                       atol=1e-12):
+        failures.append("irfft(rfft(x)) != x")
+    if abs(np.sum(x ** 2) - np.sum(np.abs(spectrum) ** 2) / 64) > 1e-9:
         failures.append("Parseval broken under documented scaling")
 
     # 5d. framed pipeline vs circulant inversion oracle on N = 16

@@ -119,9 +119,14 @@ class TestParsing:
     @pytest.mark.parametrize("argv", [
         ["--snr", "-390"],
         ["--dt", "1", "--snr", "-370"],
+        ["--snr", "10", "--snr", "-390"],
     ])
     def test_snr_whose_noise_overflows_float32_exits_2(self, argv, capsys,
-                                                      started_threads):
+                                                      started_threads,
+                                                      monkeypatch):
+        """Every point is checked before the curve's point threads start,
+        which a two-point grid would start on two CPUs."""
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.run(["ber-curve", "--scheme", "qled", "--order", "4"]

@@ -9,6 +9,7 @@ stop rule's meaning of ``censored``: a run that stops decisively below
 """
 
 import dataclasses
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -91,14 +92,19 @@ SNRS = (0.0, 8.0, 16.0, 24.0, 32.0, None)  # None: noiseless
 
 
 def _assert_matches_reference(sim, seeds=(1, 2), blocks=12, chunk_blocks=5,
-                              snrs=SNRS, **kwargs):
+                              snrs=SNRS, alongside=None, **kwargs):
+    """Returns the runs' (errors, bits, censored) triples."""
+    runs = []
     for snr in snrs:
         sigma = 0.0 if snr is None else harness.sigma_from_snr(snr)
         for seed in seeds:
             args = (sigma, blocks * sim.config.n * sim.k, seed)
             want = reference_run(sim, *args, chunk_blocks=chunk_blocks, **kwargs)
-            got = sim.run(*args, chunk_blocks=chunk_blocks, **kwargs)
+            got = sim.run(*args, chunk_blocks=chunk_blocks,
+                          alongside=alongside, **kwargs)
             assert got == want, (snr, seed)
+            runs.append(got)
+    return runs
 
 
 @pytest.mark.parametrize("dt", [0.0, 0.1, 1.0])
@@ -112,6 +118,41 @@ def test_screened_run_equals_full_metric(scheme, order, fde_on, dt):
     _assert_matches_reference(sim, seeds=(3,), stop_target=1e-3,
                               min_bit_errors=20)
     assert 0 < sim.suspect_rows < sim.detected_rows
+
+
+@pytest.mark.parametrize("slice_blocks", [2, 512])
+@pytest.mark.parametrize("scheme,order,fde_on,dt,dtype", [
+    ("qled", 16, True, 1.0, np.float32), ("tled", 16, False, 0.1, np.float32),
+    ("qled", 64, True, 1.0, np.float64)])
+def test_serial_run_equals_full_metric(monkeypatch, started_threads,
+                                       slice_blocks, scheme, order, fde_on,
+                                       dt, dtype):
+    """The serial schedule, which side-by-side curve points take, on the
+    calling thread: multi-chunk runs with several tiles a chunk in one
+    reused noise buffer (two-block tiles; the last tile of a five-block
+    chunk is one block), noiseless runs, runs censored on their budget,
+    stops decisively above and below ``stop_target``, and one-tile runs."""
+    monkeypatch.setattr(harness, "_SLICE_BLOCKS", slice_blocks)
+    cfg = harness.ExperimentConfig(scheme=scheme, order=order, dt=dt,
+                                   fde=fde_on)
+    sim = harness.LinkSimulator(cfg, dtype=dtype)
+    budget = 12 * cfg.n * sim.k
+    curve = threading.Event()  # a side-by-side curve's, never set here
+    runs = _assert_matches_reference(sim, alongside=curve)
+    # errors counted past the first chunk's 4 counted blocks
+    assert any(errors and bits > 4 * cfg.n * sim.k for errors, bits, _ in runs)
+    censored = _assert_matches_reference(sim, snrs=(24.0, 32.0, None),
+                                         min_bit_errors=1 << 62, alongside=curve)
+    assert all(bits == budget and flag for _, bits, flag in censored)
+    # 0 errors are decisively below 1e-3 from 3842 bits on
+    stops = _assert_matches_reference(sim, seeds=(3,), blocks=60,
+                                      snrs=(0.0, 32.0), stop_target=1e-3,
+                                      min_bit_errors=20, alongside=curve)
+    (above_e, above_n, _), (below_e, below_n, _) = stops
+    assert above_n < 5 * budget and harness.wilson_interval(above_e, above_n)[0] > 1e-3
+    assert below_n < 5 * budget and harness.wilson_interval(below_e, below_n)[1] < 1e-3
+    _assert_matches_reference(sim, blocks=1, chunk_blocks=4096, alongside=curve)
+    assert started_threads == []
 
 
 @pytest.mark.parametrize("scheme,order", [("tled", 16), ("qled", 64)])
@@ -257,7 +298,8 @@ def test_worker_run_warmup_tile_equals_full_metric(monkeypatch, tile_threads,
 def test_one_tile_run_starts_no_thread_and_equals_full_metric(started_threads,
                                                               snr):
     """A QLED-4096 point of 196608 bits is 257 blocks with the warm-up, one
-    tile: it runs inline, with noise at 31 dB and noiseless as a loopback."""
+    tile: it takes the serial loop, with noise at 31 dB and noiseless as a
+    loopback."""
     cfg = harness.ExperimentConfig(scheme="qled", order=4096, dt=1.0)
     sim = harness.LinkSimulator(cfg)
     args = (0.0 if snr is None else harness.sigma_from_snr(snr), 196608, 1)

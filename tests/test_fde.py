@@ -1,4 +1,4 @@
-"""FDE tests: DFT pair contracts, zero-forcing coefficients, block equalisation."""
+"""FDE tests: zero-forcing coefficients against a naive DFT, block equalisation."""
 
 import numpy as np
 import pytest
@@ -12,41 +12,6 @@ def naive_dft(x):
     n = len(x)
     k = np.arange(n)
     return np.array([np.sum(x * np.exp(-2j * np.pi * k * m / n)) for m in range(n)])
-
-
-class TestDftPair:
-    def test_impulse_gives_flat_spectrum(self):
-        x = np.zeros(16)
-        x[0] = 1.0
-        np.testing.assert_allclose(fde.dft(x), np.ones(16), atol=1e-12)
-
-    def test_constant_gives_dc_only(self):
-        x = np.full(16, 0.7)
-        spec = fde.dft(x)
-        assert spec[0] == pytest.approx(16 * 0.7)
-        np.testing.assert_allclose(spec[1:], 0.0, atol=1e-12)
-
-    def test_matches_naive_dft(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=64)
-        np.testing.assert_allclose(fde.dft(x), naive_dft(x), atol=1e-10)
-
-    def test_idft_inverts_dft(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=64)
-        np.testing.assert_allclose(fde.idft(fde.dft(x)).real, x, atol=1e-12)
-
-    def test_parseval_documented_scaling(self):
-        """Sum |x|^2 equals (1/N) sum |X|^2 with the unscaled-forward convention."""
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=64)
-        spec = fde.dft(x)
-        assert np.sum(x ** 2) == pytest.approx(np.sum(np.abs(spec) ** 2) / 64)
-
-    @pytest.mark.parametrize("n", [3, 48, 1])
-    def test_non_power_of_two_rejected(self, n):
-        with pytest.raises(InvalidLength):
-            fde.dft(np.zeros(n))
 
 
 class TestSpectralChannel:

@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import CancelledError
 from dataclasses import replace
 
 import numpy as np
@@ -407,6 +408,141 @@ class TestBerCurve:
         assert data["entries"][0]["achievable"] is True
 
 
+def _point_threads(names):
+    return [name for name in names if name.startswith("cskfde-points")]
+
+
+class TestSideBySidePoints:
+    """run_ber_curve's points on a thread pool, each on the serial loop."""
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_curve_equals_its_points_run_alone(self, monkeypatch,
+                                               started_threads, cpus):
+        """Five points on two threads, or four on two cores, so the last
+        runs alone, under fast thread switching: the CSV of one after
+        another on a fresh simulator (multi-chunk points on the draw
+        pipeline), and the shared simulator's row counters are the sums
+        over those runs."""
+        monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+        cfg = fast_cfg(order=16, dt=1.0, min_bit_errors=100,
+                       max_bits=1_500_000, seed=3)
+        grid = [14.0, 17.0, 18.5, 19.5, 30.0]
+        shared, point = [], harness.run_ber_point
+
+        def recording_point(*args, simulator=None, **kwargs):
+            shared.append(simulator)
+            return point(*args, simulator=simulator, **kwargs)
+        monkeypatch.setattr(harness, "run_ber_point", recording_point)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            curve = harness.run_ber_curve(cfg, grid)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _point_threads(started_threads) == started_threads
+        assert 1 <= len(started_threads) <= cpus  # started as needed
+        sim, lone = shared[0], harness.LinkSimulator(cfg)
+        assert {id(s) for s in shared} == {id(sim)}
+        alone = harness.BerCurve(cfg, [
+            point(cfg, snr, simulator=lone, seed=(cfg.seed, i))
+            for i, snr in enumerate(grid)])
+        texts = []
+        for c in (curve, alone):
+            fh = io.StringIO()
+            harness.write_curve_csv(fh, c)
+            texts.append(fh.getvalue())
+        assert texts[0] == texts[1]
+        assert (sim.detected_rows, sim.suspect_rows) == (
+            lone.detected_rows, lone.suspect_rows)
+        # points ending on the error floor, the bit budget and in between
+        assert {p.censored for p in curve.points} == {False, True}
+        assert max(p.bits for p in curve.points) > 4095 * cfg.n * sim.k
+
+    def test_qled_1024_curve_builds_its_lists_once(self, monkeypatch):
+        """The build is slowed, so two points that each found no lists
+        would both build them."""
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        built, lists = [], modem.neighbour_lists
+
+        def counting(*args):
+            built.append(None)
+            time.sleep(0.1)
+            return lists(*args)
+        monkeypatch.setattr(modem, "neighbour_lists", counting)
+        cfg = harness.ExperimentConfig(scheme="qled", order=1024, dt=1.0,
+                                       max_bits=100_000, seed=1)
+        curve = harness.run_ber_curve(cfg, [24.0, 26.0])
+        assert len(built) == 1
+        assert [p.bits for p in curve.points] == [100_480, 100_480]
+
+    @pytest.mark.parametrize("grid", [[], [12.0]])
+    def test_empty_and_one_point_grids_start_no_pool(self, monkeypatch,
+                                                    started_threads, grid):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        curve = harness.run_ber_curve(fast_cfg(max_bits=10_000), grid)
+        assert [p.snr_o_db for p in curve.points] == grid
+        assert started_threads == []
+
+    def test_threads_are_one_per_cpu_and_never_more_than_points(
+            self, monkeypatch, started_threads):
+        """The pool's size; a pool starts its threads as it needs them."""
+        sizes = []
+
+        class SizedPool(harness.ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", SizedPool)
+        cfg = fast_cfg(max_bits=10_000)
+        for cpus, points, threads in ((3, 2, [2]), (2, 3, [2]), (1, 3, [])):
+            monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+            sizes.clear()
+            started_threads.clear()
+            harness.run_ber_curve(cfg, [10.0 + i for i in range(points)])
+            assert sizes == threads
+            assert len(started_threads) in ((1, 2) if threads else (0,))
+
+    @pytest.mark.parametrize("grid,match", [
+        ([10.0, -390.0], "sigma must be"),
+        ([10.0, -4000.0], "SNR -4000"),
+    ])
+    def test_a_bad_point_raises_before_any_thread(self, monkeypatch,
+                                                  started_threads, grid, match):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        with pytest.raises(InvalidParameter, match=match):
+            harness.run_ber_curve(fast_cfg(), grid)
+        assert started_threads == []
+
+    def test_a_set_event_stops_a_run_at_the_end_of_its_chunk(self):
+        sim = harness.LinkSimulator(fast_cfg(dt=1.0))
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(CancelledError):
+            sim.run(harness.sigma_from_snr(30.0), 20 * 64 * sim.k, 1,
+                    chunk_blocks=3, alongside=stop)
+        assert sim.detected_rows == 2 * 64  # the first chunk, less its warm-up
+
+    def test_a_failing_point_stops_the_curve(self, monkeypatch):
+        """The error reaches the caller; the running point, which would run
+        its 2e8-bit budget for seconds, stops at the end of a chunk, the
+        points not started are cancelled, and no thread is left."""
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        point = harness.run_ber_point
+
+        def failing_first(config, snr, **kwargs):
+            if snr == 10.0:
+                time.sleep(0.2)
+                raise _Boom("point failed")
+            return point(config, snr, **kwargs)
+        monkeypatch.setattr(harness, "run_ber_point", failing_first)
+        start, t0 = threading.active_count(), time.monotonic()
+        with pytest.raises(_Boom, match="point failed"):
+            harness.run_ber_curve(fast_cfg(max_bits=200_000_000),
+                                  [10.0, 30.0, 31.0, 32.0])
+        assert time.monotonic() - t0 < 2.0
+        _assert_no_thread_left(start)
+
+
 class _Boom(RuntimeError):
     pass
 
@@ -583,22 +719,15 @@ class TestDrawPipeline:
         monkeypatch.setattr(chan, "make_rng", FaultyRng)
         monkeypatch.setattr(harness, "_SLICE_BLOCKS", 1)
         tile_threads(delay=0.3)
-        caller, tile = threading.current_thread(), harness.LinkSimulator._tile
-        failed_on = []
-
-        def noting_failures(sim, *args):
-            try:
-                return tile(sim, *args)
-            except _Boom:
-                failed_on.append(threading.current_thread() is caller)
-                raise
-        monkeypatch.setattr(harness.LinkSimulator, "_tile", noting_failures)
         start = threading.active_count()
         sim = harness.LinkSimulator(fast_cfg(dt=1.0))
-        with pytest.raises(_Boom, match="noise draw failed"):
+        with pytest.raises(_Boom, match="noise draw failed") as failure:
             sim.run(harness.sigma_from_snr(20.0), 20 * 64 * sim.k, 1,
                     chunk_blocks=6)
-        assert failed_on == [False]  # tile 2 failed, on the worker
+        # tile 2 failed on the worker: the tile task that read the failed
+        # slice was run by the pool's work item, not by the caller's loop
+        names = [entry.frame.code.name for entry in failure.traceback]
+        assert names[names.index("tile") - 1] == "run", names
         _assert_no_thread_left(start)
 
     @pytest.mark.parametrize("fde_on", [True, False])
@@ -669,8 +798,9 @@ class TestDrawPipeline:
     def test_only_a_run_of_more_than_one_tile_starts_a_worker(
             self, started_threads, counted, chunk_blocks, workers):
         """A run whose blocks, the warm-up block with them, fit in one
-        ``_SLICE_BLOCKS`` tile of one chunk runs inline and starts no
-        thread; any other run starts exactly one ``cskfde-draws`` worker."""
+        ``_SLICE_BLOCKS`` tile of one chunk takes the serial loop and
+        starts no thread; any other lone run starts exactly one
+        ``cskfde-draws`` worker."""
         sim = harness.LinkSimulator(fast_cfg())
         _, bits, _ = sim.run(0.1, counted * 64 * sim.k, 1,
                              min_bit_errors=1 << 30, chunk_blocks=chunk_blocks)
@@ -761,15 +891,17 @@ class TestDrawPipeline:
                 if name == "integers"] == [nb * 64 for nb in sizes]
         assert bits == blocks * 64 * sim.k
 
+    @pytest.mark.parametrize("serial", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("sigma", [0.0, 0.0531, np.float64(0.0531)])
-    def test_chunk_draws_are_the_serial_draws(self, monkeypatch, dtype, sigma):
+    def test_chunk_draws_are_the_serial_draws(self, monkeypatch, dtype, sigma,
+                                              serial):
         """The generator calls a run makes, in two-block noise slices, give
         the serial loop's values in its order: per chunk ``integers``, then
-        ``standard_normal`` when sigma > 0.  Each tile receives its slice of
-        the draws, and the noise it adds, its slice scaled in place, is
-        ``float(sigma) * standard_normal`` in the simulator's dtype,
-        whatever type sigma has."""
+        ``standard_normal`` when sigma > 0, on either schedule.  Each tile
+        receives its slice of the draws, and the noise it adds, its slice
+        scaled in place, is ``float(sigma) * standard_normal`` in the
+        simulator's dtype, whatever type sigma has."""
         n, cp, order, bands = 8, 2, 64, 4
         rng, want = chan.make_rng((1, 7)), []
         for nb in [5, 5, 3]:
@@ -781,17 +913,17 @@ class TestDrawPipeline:
         calls = _recorded_draws(monkeypatch)
         tile, tiles = harness.LinkSimulator._tile, []
 
-        def recording_tile(sim, symbols, noise, scale, rows, skip):
-            drawn = None if noise is None else noise.result().copy()
-            counts = tile(sim, symbols, noise, scale, rows, skip)
-            tiles.append((symbols, drawn, None if noise is None
-                          else noise.result(), rows))
+        def recording_tile(sim, tx_idx, noise, scale, skip):
+            drawn = None if noise is None else noise.copy()
+            counts = tile(sim, tx_idx, noise, scale, skip)
+            # the serial loop reuses one buffer: keep the added noise
+            tiles.append((tx_idx, drawn, None if noise is None else noise.copy()))
             return counts
         monkeypatch.setattr(harness.LinkSimulator, "_tile", recording_tile)
         sim = harness.LinkSimulator(fast_cfg(order=order, n=n, cp=cp),
                                     dtype=dtype)
         sim.run(sigma, 12 * n * sim.k, (1, 7), min_bit_errors=1 << 30,
-                chunk_blocks=5)
+                chunk_blocks=5, alongside=threading.Event() if serial else None)
         got = []  # a chunk's noise slices joined into one call
         for name, values in calls:
             if got and got[-1][0] == name == "standard_normal":
@@ -801,9 +933,13 @@ class TestDrawPipeline:
         for (_, a), (_, b) in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         # each tile's draws and added noise, in the order of its chunk's
-        # draw and of its rows
+        # index draw and of its rows in it
         chunk_of = {id(values): i for i, (_, values) in enumerate(calls)}
-        tiles.sort(key=lambda t: (chunk_of[id(t[0].result())], t[3].start))
+        tiles.sort(key=lambda t: (chunk_of[id(t[0].base)],
+                                  t[0].ctypes.data - t[0].base.ctypes.data))
+        assert np.array_equal(np.concatenate([t[0] for t in tiles]),
+                              np.concatenate([values for name, values in want
+                                              if name == "integers"]))
         if sigma > 0:
             drawn, added = (np.concatenate([t[i] for t in tiles]) for i in (1, 2))
             want_drawn = np.concatenate([values for name, values in want
