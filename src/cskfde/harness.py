@@ -30,7 +30,6 @@ import csv
 import json
 import os
 import threading
-from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, get_type_hints
 
@@ -372,6 +371,7 @@ class LinkSimulator:
                                             and lo > stop_target):
                         return errors, bits, False
                 if alongside is not None and alongside.is_set():
+                    from concurrent.futures import CancelledError
                     raise CancelledError("the curve of this point stopped")
         finally:
             chunks.close()
@@ -433,6 +433,10 @@ class LinkSimulator:
         on a one-worker pool that also runs the tiles it reaches first."""
         n, cp, bands = self.config.n, self.config.cp, self.n_bands
         order, queued = self.constellation.order, 0
+        # imported here and in run_ber_curve, so that importing cskfde and
+        # building an unequalised simulator below M = 1024, which loads no
+        # scipy module, loads no concurrent.futures (and its logging): 6.5 ms
+        from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(1, thread_name_prefix="cskfde-draws")
 
         def tile(symbols, noise, rows, skip):
@@ -565,6 +569,7 @@ def run_ber_curve(config: ExperimentConfig, snr_grid: Sequence[float],
         return run_ber_point(config, grid[i], simulator=sim,
                              seed=(config.seed, i), alongside=stop)
 
+    from concurrent.futures import ThreadPoolExecutor
     pool = ThreadPoolExecutor(threads, thread_name_prefix="cskfde-points")
     try:
         return BerCurve(config, list(pool.map(measure, range(len(grid)))))

@@ -149,6 +149,21 @@ def test_yaml_is_loaded_only_to_read_a_config_file(src_env):
     assert _fresh_python(code, src_env) == "False"
 
 
+def test_concurrent_futures_is_loaded_only_by_a_run_that_uses_a_pool(src_env):
+    """Building simulators loads no executor, nor the logging it imports;
+    a one-tile run starts no pool, and a two-point curve does.  Unequalised,
+    so that no scipy module (which loads it too) is imported."""
+    code = ("import sys\n"
+            "from cskfde import harness\n"
+            "cfg = harness.ExperimentConfig(fde=False, max_bits=1000)\n"
+            "harness.LinkSimulator(cfg).run(0.1, 1000, 1)\n"
+            "loaded = ['concurrent.futures' in sys.modules]\n"
+            "harness._cpu_count = lambda: 2\n"
+            "harness.run_ber_curve(cfg, [10.0, 11.0])\n"
+            "print(loaded + ['concurrent.futures' in sys.modules])")
+    assert _fresh_python(code, src_env) == "[False, True]"
+
+
 def _scipy_after_cli(*commands) -> str:
     """Code that runs each CLI argv in turn, its output discarded, then
     prints which of scipy.fft, scipy.special and scipy.spatial are loaded."""

@@ -8,6 +8,7 @@ stop rule's meaning of ``censored``: a run that stops decisively below
 ``stop_target`` is not censored, so that return reads False.
 """
 
+import concurrent.futures
 import dataclasses
 import threading
 import time
@@ -284,7 +285,7 @@ def test_worker_run_warmup_tile_equals_full_metric(monkeypatch, tile_threads,
                 if len(queued) == 2:
                     time.sleep(0.2)
             return super().submit(fn, *args, **kwargs)
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", HeldPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", HeldPool)
     cfg = harness.ExperimentConfig(scheme="qled", order=16, dt=1.0)
     sim = harness.LinkSimulator(cfg)
     args = (0.0 if snr is None else harness.sigma_from_snr(snr),

@@ -1,12 +1,12 @@
 """Harness tests: rates, OOK baseline, BER points, bisection, reproducibility."""
 
+import concurrent.futures
 import io
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import CancelledError
 from dataclasses import replace
 
 import numpy as np
@@ -488,11 +488,11 @@ class TestSideBySidePoints:
         """The pool's size; a pool starts its threads as it needs them."""
         sizes = []
 
-        class SizedPool(harness.ThreadPoolExecutor):
+        class SizedPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", SizedPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SizedPool)
         cfg = fast_cfg(max_bits=10_000)
         for cpus, points, threads in ((3, 2, [2]), (2, 3, [2]), (1, 3, [])):
             monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
@@ -517,7 +517,7 @@ class TestSideBySidePoints:
         sim = harness.LinkSimulator(fast_cfg(dt=1.0))
         stop = threading.Event()
         stop.set()
-        with pytest.raises(CancelledError):
+        with pytest.raises(concurrent.futures.CancelledError):
             sim.run(harness.sigma_from_snr(30.0), 20 * 64 * sim.k, 1,
                     chunk_blocks=3, alongside=stop)
         assert sim.detected_rows == 2 * 64  # the first chunk, less its warm-up
