@@ -6,13 +6,17 @@ intensities are the unique solution of the 3x3 mixing system; a quad-LED
 (QLED) system first picks the three LEDs whose gamut sub-region contains the
 target colour and then solves the same 3x3 system, so at most three of the
 four LEDs are lit for any symbol.
+
+A build from the shipped sources and tables is made once per process and
+shared by every caller; its arrays, and those of every constellation and
+source set, are read-only.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -59,14 +63,15 @@ class SourceSet:
 
     TLED uses three bands ordered (R, Y, B) to match the shipped cross-talk
     matrix; QLED uses four bands ordered (B, C, Y, R) tracing the gamut
-    quadrilateral.
+    quadrilateral.  ``xy`` is a read-only copy of the coordinates given.
     """
 
     names: tuple
     xy: np.ndarray  # (n_bands, 2)
 
     def __post_init__(self):
-        xy = np.asarray(self.xy, dtype=float)
+        xy = np.array(self.xy, dtype=float)
+        xy.setflags(write=False)
         if xy.shape != (len(self.names), 2):
             raise DimensionMismatch("one (x, y) pair per source required")
         for row in xy:
@@ -199,7 +204,9 @@ class Constellation:
 
     ``labels[i]`` is the bit pattern (as an int) of point ``i``;
     ``chromaticities[i]`` its xy coordinate and ``intensities[i]`` the
-    per-LED optical power fractions.
+    per-LED optical power fractions.  The three arrays are stored as
+    read-only views, so a constellation can be shared; the caller's own
+    arrays keep their flags.
     """
 
     scheme: str
@@ -210,6 +217,10 @@ class Constellation:
     sources: SourceSet
 
     def __post_init__(self):
+        for name in ("labels", "chromaticities", "intensities"):
+            view = np.asarray(getattr(self, name)).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
         if len(self.labels) != self.order:
             raise DimensionMismatch("label count must equal the order")
         if not np.array_equal(np.sort(self.labels), np.arange(self.order)):
@@ -312,7 +323,16 @@ TLED_BARYCENTRIC_TABLES = {
 
 def build_tled_constellation(order: int, sources: SourceSet | None = None,
                              tables=None) -> Constellation:
-    """TLED constellation from the shipped (or overridden) barycentric tables."""
+    """TLED constellation from the shipped (or overridden) barycentric tables.
+
+    With the shipped sources and tables (both None) it is the process's one
+    shared build of :func:`_shipped`; overridden ones are built afresh."""
+    if sources is None and tables is None and order in TLED_ORDERS:
+        return _shipped(TLED, int(order))
+    return _build_tled(order, sources, tables)
+
+
+def _build_tled(order, sources, tables) -> Constellation:
     sources = sources or default_tled_sources()
     if sources.n_bands != 3:
         raise DimensionMismatch("TLED needs exactly three sources")
@@ -347,7 +367,15 @@ def build_qled_constellation(order: int, sources: SourceSet | None = None) -> Co
     A unit-square grid is carried into the gamut quadrilateral by bilinear
     interpolation of the corner chromaticities; row and column indices are
     Gray coded independently so nearest grid neighbours differ in one bit.
+    With the shipped sources (None) it is the process's one shared build of
+    :func:`_shipped`; other sources are built afresh.
     """
+    if sources is None and order in QLED_ORDERS:
+        return _shipped(QLED, int(order))
+    return _build_qled(order, sources)
+
+
+def _build_qled(order, sources) -> Constellation:
     sources = sources or default_qled_sources()
     if sources.n_bands != 4:
         raise DimensionMismatch("QLED needs exactly four sources")
@@ -366,10 +394,23 @@ def build_qled_constellation(order: int, sources: SourceSet | None = None) -> Co
                          _qled_intensities(chroma, sources), sources)
 
 
+@cache
+def _shipped(scheme: str, order: int) -> Constellation:
+    """The build of a shipped (scheme, M), made at its first call and then
+    returned to every caller in the process.  Its arrays are read-only, and
+    so is its ``nearest_neighbour_distances``, which is searched once too.
+    Overridden sources or tables are never cached: an ndarray or a dict is
+    no key."""
+    if scheme == TLED:
+        return _build_tled(order, None, None)
+    return _build_qled(order, None)
+
+
 def build_constellation(scheme: str, order: int, sources: SourceSet | None = None,
                         tled_tables=None) -> Constellation:
     """The one scheme dispatch; ``tled_tables`` applies to TLED only, and
-    None keeps the builder's shipped sources or tables."""
+    None keeps the builder's shipped sources or tables, whose build is
+    shared (see :func:`_shipped`)."""
     if scheme == TLED:
         return build_tled_constellation(order, sources, tled_tables)
     if scheme == QLED:

@@ -200,6 +200,33 @@ class TestLoopbackCommand:
         assert captured.out == ""
 
 
+class TestRepeatedCalls:
+    """Calls in one process share the shipped constellation and print the
+    same bytes each time."""
+
+    @pytest.mark.parametrize("argv", [
+        ["loopback-check", "--scheme", "qled", "--order", "4096", "--dt", "1",
+         "--fde", "on", "--bits", str(64 * 64 * 12)],
+        ["ber-curve", "--scheme", "qled", "--order", "64", "--dt", "0.5",
+         "--fde", "off", "--snr", "14", "--snr", "16", "--seed", "3"],
+        ["constellation", "--scheme", "qled", "--order", "64"],
+    ])
+    def test_same_bytes(self, argv, capsys, fast_config):
+        if argv[0] == "ber-curve":
+            argv = argv + ["--config", fast_config]
+        outs = []
+        for _ in range(2):
+            assert cli.run(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] and outs[0] == outs[1]
+
+    def test_link_uses_the_shared_build(self):
+        cfg = harness.ExperimentConfig(scheme="qled", order=4096)
+        shared = col.build_constellation("qled", 4096)
+        assert cli._link({}, cfg)["constellation"] is shared
+        assert harness.LinkSimulator(cfg).constellation is shared
+
+
 class TestBerCurveCommand:
     @pytest.mark.parametrize("fde,code", [("off", 0), ("on", 1)])
     def test_spectral_null_fails_only_the_equalised_link(self, capsys, fde,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cskfde import colorimetry as col
+from cskfde import config as cfgmod
 from cskfde.errors import DimensionMismatch, OutsideGamut, SingularTriad, UnsupportedOrder
 
 
@@ -161,8 +162,9 @@ class TestTledConstellation:
         assert c.nearest_neighbour_distances.min() > 0.0
 
     def test_deterministic(self):
+        """The shared build equals a fresh one from the same sources."""
         a = col.build_tled_constellation(16)
-        b = col.build_tled_constellation(16)
+        b = col.build_tled_constellation(16, col.default_tled_sources())
         assert np.array_equal(a.intensities, b.intensities)
         assert np.array_equal(a.labels, b.labels)
 
@@ -233,6 +235,79 @@ class TestSourceSetValidation:
     def test_wrong_count_rejected(self):
         with pytest.raises(DimensionMismatch):
             col.SourceSet(("A", "B"), np.array([(0.1, 0.1), (0.2, 0.3)]))
+
+    def test_stores_a_read_only_copy(self):
+        """Changing the caller's array afterwards leaves the validated
+        sources as they were."""
+        xy = np.array([col.BAND_B, col.BAND_C, col.BAND_Y, col.BAND_R])
+        sources = col.SourceSet(("B", "C", "Y", "R"), xy)
+        xy[1] = xy[0]
+        assert xy.flags.writeable and not sources.xy.flags.writeable
+        c = col.build_qled_constellation(16, sources)
+        assert np.array_equal(c.intensities,
+                              col.build_qled_constellation(16).intensities)
+
+
+_SHIPPED = [(col.TLED, m) for m in col.TLED_ORDERS] + \
+    [(col.QLED, m) for m in col.QLED_ORDERS]
+
+
+class TestSharedBuilds:
+    """A shipped (scheme, M) is built once per process and is read-only;
+    a build from configured sources or tables is made afresh."""
+
+    @pytest.mark.parametrize("scheme,order", _SHIPPED)
+    def test_one_instance_per_shipped_order(self, scheme, order):
+        builder = {col.TLED: col.build_tled_constellation,
+                   col.QLED: col.build_qled_constellation}[scheme]
+        c = builder(order)
+        assert (c.scheme, c.order) == (scheme, order)
+        assert builder(order) is c
+        assert col.build_constellation(scheme, order) is c
+
+    def test_configured_builds_are_fresh(self):
+        file_cfg = {
+            "sources": {"qled": [{"name": n, "xy": list(xy)} for n, xy in (
+                ("B", col.BAND_B), ("C", col.BAND_C), ("Y", col.BAND_Y),
+                ("R", col.BAND_R))]},
+            "tables": {"tled": {4: [[list(row), label] for row, label
+                                    in col.TLED_BARYCENTRIC_TABLES[4]]}}}
+        sources = cfgmod.sources_from_config(file_cfg, col.QLED)
+        tables = cfgmod.tled_tables_from_config(file_cfg)
+        shared_q = col.build_constellation(col.QLED, 16)
+        shared_t = col.build_constellation(col.TLED, 4)
+        for build, shared in (
+                (lambda: col.build_constellation(col.QLED, 16, sources),
+                 shared_q),
+                (lambda: col.build_constellation(col.TLED, 4, None, tables),
+                 shared_t),
+                (lambda: col.build_tled_constellation(
+                    4, col.default_tled_sources()), shared_t)):
+            a, b = build(), build()
+            assert a is not b and shared is not a and shared is not b
+            assert np.array_equal(a.intensities, shared.intensities)
+        assert col.build_constellation(col.QLED, 16) is shared_q
+        assert col.build_constellation(col.TLED, 4) is shared_t
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_arrays_are_read_only(self, shared):
+        c = col.build_qled_constellation(64) if shared else \
+            col.build_qled_constellation(64, col.default_qled_sources())
+        for array in (c.labels, c.chromaticities, c.intensities,
+                      c.nearest_neighbour_distances, c.sources.xy):
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+
+    def test_caller_arrays_stay_writable(self):
+        good = col.build_qled_constellation(4)
+        labels = good.labels.copy()
+        chroma = good.chromaticities.copy()
+        intensities = good.intensities.copy()
+        c = col.Constellation(col.QLED, 4, labels, chroma, intensities,
+                              good.sources)
+        assert all(a.flags.writeable for a in (labels, chroma, intensities))
+        assert not any(a.flags.writeable for a in
+                       (c.labels, c.chromaticities, c.intensities))
 
 
 def test_csv_export_layout():

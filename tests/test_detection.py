@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.fft as _sfft
+import scipy.spatial
 from scipy.signal import lfilter
 from scipy.spatial import cKDTree
 
@@ -425,6 +426,10 @@ def _tree_distances(points):
     return cKDTree(points).query(points, k=2)[0][:, 1]
 
 
+def _no_tree(points):
+    raise AssertionError("the tree search ran")
+
+
 def test_nearest_neighbour_distances_cached_and_brute_force_exact(monkeypatch):
     c = col.build_tled_constellation(16)
     nn = c.nearest_neighbour_distances
@@ -449,11 +454,16 @@ def test_nearest_neighbour_distances_cached_and_brute_force_exact(monkeypatch):
         for dtype in (np.float32, np.float64):
             assert np.array_equal(modem.trust_thresholds(x, dtype),
                                   modem.trust_thresholds(from_tree, dtype))
-    # QLED-1024, the switch's order, searched pairwise as well
-    monkeypatch.setattr(col, "_TREE_MIN_ORDER", 2048)
-    c = col.build_qled_constellation(1024)
-    assert np.array_equal(c.nearest_neighbour_distances,
-                          _tree_distances(c.intensities))
+    # QLED-1024, the switch's order, searched pairwise as well: on a fresh
+    # copy, as the shared build may hold the tree's distances already, and
+    # with no tree to fall back on
+    c = dataclasses.replace(col.build_qled_constellation(1024))
+    assert "nearest_neighbour_distances" not in c.__dict__
+    with monkeypatch.context() as m:
+        m.setattr(col, "_TREE_MIN_ORDER", 2048)
+        m.setattr(scipy.spatial, "cKDTree", _no_tree)
+        pairwise = c.nearest_neighbour_distances
+    assert np.array_equal(pairwise, _tree_distances(c.intensities))
     # each list holds its point and its nearest others; R_j bounds the rest
     order = c.order
     for dtype in (np.float32, np.float64):
@@ -479,6 +489,22 @@ def _list_decisions(constellation, rows, sent, dtype=np.float32):
     proven = got >= 0
     np.testing.assert_array_equal(got[proven], full[proven])
     return got, full
+
+
+def test_shared_build_detects_as_a_fresh_copy():
+    """A noisy QLED-1024 point, on the neighbour-list path, gives the same
+    point on the process's shared build as on a fresh copy of it."""
+    cfg = harness.ExperimentConfig(scheme="qled", order=1024, dt=1.0,
+                                   max_bits=64 * 64 * 10)
+    shared = col.build_qled_constellation(1024)
+    points, rows = [], []
+    for c in (shared, dataclasses.replace(shared)):
+        sim = harness.LinkSimulator(cfg, c)
+        points.append(harness.run_ber_point(cfg, 26.0, simulator=sim, seed=4))
+        assert sim._neighbours is not None
+        rows.append((sim.detected_rows, sim.suspect_rows))
+    assert points[0].errors > 0 and rows[0][1] > 0
+    assert points[0] == points[1] and rows[0] == rows[1]
 
 
 def test_lists_leave_nan_and_infinite_rows_to_the_full_metric():
