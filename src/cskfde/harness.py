@@ -46,9 +46,6 @@ from .errors import InvalidConfig, InvalidParameter, InvalidTarget, UnsupportedO
 _SLICE_BLOCKS = 512
 _CHUNK_BLOCKS = 4096
 
-# Guards the simulator's row counters, which side-by-side runs share.
-_COUNTS = threading.Lock()
-
 # The bisection's search range and its stopping bracket, in dB of SNR_o.
 _SNR_LO_DB, _SNR_HI_DB, _BRACKET_DB = 0.0, 40.0, 0.1
 
@@ -249,8 +246,8 @@ class LinkSimulator:
       the pool down on every exit, cancelling the tasks not yet started,
       so no thread outlives the call.
 
-    Runs may share a simulator across threads: a run reads the simulator
-    and adds to its row counters under a lock.
+    Runs may share a simulator across threads: once its neighbour lists
+    are built, a run only reads it.
 
     Detection is screened and exact (:func:`modem.count_bit_errors`).  Its
     neighbour lists, used from M = ``modem._LIST_MIN_ORDER`` on, are built
@@ -290,10 +287,6 @@ class LinkSimulator:
         self.points = self.constellation.intensities.astype(dtype)
         self.ct, self.half_norms = modem.detection_metric(self.constellation, dtype)
         self.trust_sq = modem.trust_thresholds(self.constellation, dtype)
-        # rows counted for bit errors, and those the trust test left to a
-        # search: suspect_rows / detected_rows is the suspect share
-        self.detected_rows = 0
-        self.suspect_rows = 0
         self._neighbours = None  # see the class docstring
         self.labels = self.constellation.labels
         self.zfe_half = None
@@ -353,13 +346,9 @@ class LinkSimulator:
         chunks = schedule(sigma, blocks, chan.make_rng(seed), chunk_blocks)
         errors = bits = 0
         try:
-            for counted, chunk_errors, suspects in chunks:
-                rows = counted * self.config.n
-                with _COUNTS:
-                    self.detected_rows += rows
-                    self.suspect_rows += suspects
+            for counted, chunk_errors in chunks:
                 errors += chunk_errors
-                bits += rows * self.k
+                bits += counted * self.config.n * self.k
                 if stop_target is None:
                     if errors >= min_errors:
                         return errors, bits, False
@@ -403,8 +392,8 @@ class LinkSimulator:
         return min_errors
 
     def _serial(self, sigma: float, blocks: int, rng, chunk_blocks):
-        """The serial loop: yields (counted blocks, errors, suspects) per
-        chunk, drawing each tile's noise as the tile needs it."""
+        """The serial loop: yields (counted blocks, errors) per chunk,
+        drawing each tile's noise as the tile needs it."""
         n, cp, order = self.config.n, self.config.cp, self.constellation.order
         tile_blocks = int(min(chunk_blocks, blocks, _SLICE_BLOCKS))
         noise = (np.empty((tile_blocks * (n + cp), self.n_bands), dtype=self.dtype)
@@ -415,18 +404,16 @@ class LinkSimulator:
             skip = 0 if done else n  # tile 0 of chunk 0 skips the warm-up
             done += nb
             symbols = rng.integers(0, order, size=nb * n)
-            errors = suspects = 0
+            errors = 0
             for start in range(0, nb, _SLICE_BLOCKS):
                 stop = min(start + _SLICE_BLOCKS, nb)
                 part = None
                 if noise is not None:
                     part = noise[:(stop - start) * (n + cp)]
                     rng.standard_normal(dtype=self.dtype, out=part)
-                tile_errors, tile_suspects = self._tile(
+                errors += self._tile(
                     symbols[start * n:stop * n], part, sigma, 0 if start else skip)
-                errors += tile_errors
-                suspects += tile_suspects
-            yield nb - 1 if skip else nb, errors, suspects
+            yield nb - 1 if skip else nb, errors
 
     def _pipelined(self, sigma: float, blocks: int, rng, chunk_blocks):
         """The draw pipeline: yields what ``_serial`` yields, with the draws
@@ -474,20 +461,18 @@ class LinkSimulator:
             chunk = queue()
             while chunk is not None:
                 (counted, tiles), chunk = chunk, queue()
-                counts, kept = [], []
+                errors, kept = 0, []
                 for task, args in tiles:
                     if task.cancel():  # the worker has not started it
-                        counts.append(tile(*args))
+                        errors += tile(*args)
                     else:
                         kept.append(task)
-                counts += [task.result() for task in kept]
-                chunk_errors, suspects = map(sum, zip(*counts))
-                yield counted, chunk_errors, suspects
+                yield counted, errors + sum(task.result() for task in kept)
         finally:
             pool.shutdown(cancel_futures=True)
 
     def _tile(self, tx_idx, noise, sigma: float, skip: int):
-        """(errors, suspects) of one tile: the blocks of the symbol indices
+        """The bit errors of one tile: the blocks of the symbol indices
         ``tx_idx``, with ``noise`` (None when sigma = 0) the standard normal
         draws that, scaled by ``sigma`` in place, are their noise.  The
         first ``skip`` rows are not counted."""

@@ -276,9 +276,9 @@ def ml_detect(received, constellation: Constellation) -> np.ndarray:
 
 
 def count_bit_errors(rows, sent_rows, sent_idx, trust_sq, ct, half_norms,
-                     labels, neighbours: Neighbours | None = None):
+                     labels, neighbours: Neighbours | None = None) -> int:
     """Bit errors of detecting ``rows`` when the points ``sent_idx`` (at
-    intensities ``sent_rows``) were sent, and how many rows were suspect.
+    intensities ``sent_rows``) were sent.
 
     The detection is screened: a row inside the trust radius of its sent
     point (``trust_sq``, from :func:`trust_thresholds`) detects as that
@@ -300,4 +300,4 @@ def count_bit_errors(rows, sent_rows, sent_idx, trust_sq, ct, half_norms,
     det_idx[left] = nearest_points(np.take(rows, suspects[left], axis=0),
                                    ct, half_norms)
     diff = labels[det_idx] ^ labels[sent]
-    return int(np.bitwise_count(diff).sum()), len(suspects)
+    return int(np.bitwise_count(diff).sum())

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cskfde import harness
+from cskfde import harness, modem
 
 
 # the run's draw worker, and the pool of run_ber_curve's side-by-side points
@@ -76,3 +76,34 @@ def tile_threads(monkeypatch):
         monkeypatch.setattr(harness.LinkSimulator, "_tile", recording)
         return ran
     return record
+
+
+@pytest.fixture()
+def metric_rows(monkeypatch):
+    """The list that counts the rows each call of ``modem.nearest_points``
+    gets: the rows that reach the full metric."""
+    reached = []
+    nearest = modem.nearest_points
+
+    def counting(rows, *args):
+        reached.append(len(rows))
+        return nearest(rows, *args)
+    monkeypatch.setattr(modem, "nearest_points", counting)
+    return reached
+
+
+@pytest.fixture()
+def suspect_counts(monkeypatch):
+    """The list of ``(screened, suspects)`` per call of
+    ``modem.suspect_rows``: the rows the trust test screened, and how many of
+    them it left suspect.  Every screened tile is listed, also one that a
+    stopping run finishes but does not count."""
+    counts = []
+    screen = modem.suspect_rows
+
+    def counting(received, *args):
+        suspects = screen(received, *args)
+        counts.append((len(received), len(suspects)))
+        return suspects
+    monkeypatch.setattr(modem, "suspect_rows", counting)
+    return counts

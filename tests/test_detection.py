@@ -113,13 +113,15 @@ def _assert_matches_reference(sim, seeds=(1, 2), blocks=12, chunk_blocks=5,
 @pytest.mark.parametrize("fde_on", [True, False])
 @pytest.mark.parametrize("scheme,order", [("tled", 4), ("tled", 16), ("qled", 4),
                                           ("qled", 64), ("qled", 256)])
-def test_screened_run_equals_full_metric(scheme, order, fde_on, dt):
+def test_screened_run_equals_full_metric(suspect_counts, scheme, order,
+                                        fde_on, dt):
     cfg = harness.ExperimentConfig(scheme=scheme, order=order, dt=dt, fde=fde_on)
     sim = harness.LinkSimulator(cfg)
     _assert_matches_reference(sim)
     _assert_matches_reference(sim, seeds=(3,), stop_target=1e-3,
                               min_bit_errors=20)
-    assert 0 < sim.suspect_rows < sim.detected_rows
+    screened, suspects = np.sum(suspect_counts, axis=0)
+    assert 0 < suspects < screened
 
 
 @pytest.mark.parametrize("slice_blocks", [2, 512])
@@ -163,24 +165,11 @@ def test_screened_run_equals_full_metric_float64(scheme, order):
     _assert_matches_reference(harness.LinkSimulator(cfg, dtype=np.float64))
 
 
-@pytest.fixture()
-def metric_rows(monkeypatch):
-    """The list that counts the rows each call of ``modem.nearest_points``
-    gets: the rows that reach the full metric."""
-    reached = []
-    nearest = modem.nearest_points
-
-    def counting(rows, *args):
-        reached.append(len(rows))
-        return nearest(rows, *args)
-    monkeypatch.setattr(modem, "nearest_points", counting)
-    return reached
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("fde_on,dt", [(True, 1.0), (True, 0.1), (False, 0.1)])
 @pytest.mark.parametrize("order", [1024, 4096])
-def test_listed_run_equals_full_metric(metric_rows, order, fde_on, dt, dtype):
+def test_listed_run_equals_full_metric(metric_rows, suspect_counts, order,
+                                       fde_on, dt, dtype):
     """At large orders the suspects are decided among neighbour lists, and
     only the rows the lists cannot prove reach the full metric.  At 0 and
     16 dB nearly every row lies beyond its list's reach and takes the full
@@ -189,15 +178,14 @@ def test_listed_run_equals_full_metric(metric_rows, order, fde_on, dt, dtype):
                                    fde=fde_on)
     sim = harness.LinkSimulator(cfg, dtype=dtype)
     _assert_matches_reference(sim, seeds=(1, 2, 3), snrs=(0.0, 16.0))
-    # a run that stops drops the tiles in flight, whose rows reached the
-    # full metric but whose suspects are not counted: count from here
     metric_rows.clear()
-    low_suspects = sim.suspect_rows
+    suspect_counts.clear()
     snrs = (24.0, 26.0, 28.0, 32.0)
     _assert_matches_reference(sim, seeds=(1, 2, 3), snrs=snrs)
     _assert_matches_reference(sim, seeds=(4,), snrs=snrs, stop_target=1e-3,
                               min_bit_errors=20)
-    assert 0 < sum(metric_rows) < sim.suspect_rows - low_suspects
+    _, suspects = np.sum(suspect_counts, axis=0)
+    assert 0 < sum(metric_rows) < suspects
     assert sim._neighbours is not None
 
 
@@ -211,16 +199,19 @@ def test_noiseless_run_builds_no_lists(metric_rows):
     assert sim._neighbours is not None
 
 
-def test_small_orders_build_no_lists(metric_rows):
+def test_small_orders_build_no_lists(metric_rows, suspect_counts):
     """Below M = 1024 exactly the suspects reach the full metric, also when
     most rows but not all are suspects (20 dB).  The runs end on their bit
-    budget, so no tile in flight is dropped and every suspect is counted."""
+    budget, so every row screened is a row counted."""
     cfg = harness.ExperimentConfig(scheme="qled", order=256, dt=1.0)
     sim = harness.LinkSimulator(cfg)
-    _assert_matches_reference(sim, snrs=(20.0,), min_bit_errors=1 << 62)
-    assert 0.8 * sim.detected_rows < sim.suspect_rows < sim.detected_rows
+    runs = _assert_matches_reference(sim, snrs=(20.0,), min_bit_errors=1 << 62)
+    screened, suspects = np.sum(suspect_counts, axis=0)
+    assert screened * sim.k == sum(bits for _, bits, _ in runs)
+    assert 0.8 * screened < suspects < screened
     _assert_matches_reference(sim, snrs=(24.0,), min_bit_errors=1 << 62)
-    assert sim._neighbours is None and sum(metric_rows) == sim.suspect_rows
+    _, suspects = np.sum(suspect_counts, axis=0)
+    assert sim._neighbours is None and sum(metric_rows) == suspects
 
 
 @pytest.mark.parametrize("scheme,order,fde_on", [("qled", 4, True),
@@ -321,12 +312,12 @@ def test_numpy_float64_sigma_equals_full_metric():
         sim, float(sigma), *rest, chunk_blocks=5)
 
 
-def test_chunk_with_exactly_one_suspect_row():
+def test_chunk_with_exactly_one_suspect_row(suspect_counts):
     cfg = harness.ExperimentConfig(scheme="qled", order=16, dt=1.0)
     sim = harness.LinkSimulator(cfg)
     args = (harness.sigma_from_snr(20.0), 2 * 64 * sim.k, 10)
     got = sim.run(*args, chunk_blocks=3)
-    assert (sim.detected_rows, sim.suspect_rows) == (128, 1)
+    assert suspect_counts == [(128, 1)] and got[1] == 128 * sim.k
     assert got == reference_run(sim, *args, chunk_blocks=3)
 
 
@@ -417,7 +408,6 @@ def test_qled_4096_full_chunk_in_bounded_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sim.detected_rows == (chunk - 1) * cfg.n
     assert bits == (chunk - 1) * cfg.n * sim.k and errors > 0
     assert peak < 512 * 2 ** 20, peak
 
@@ -491,20 +481,22 @@ def _list_decisions(constellation, rows, sent, dtype=np.float32):
     return got, full
 
 
-def test_shared_build_detects_as_a_fresh_copy():
+def test_shared_build_detects_as_a_fresh_copy(suspect_counts):
     """A noisy QLED-1024 point, on the neighbour-list path, gives the same
-    point on the process's shared build as on a fresh copy of it."""
+    point and the same screening on the process's shared build as on a
+    fresh copy of it."""
     cfg = harness.ExperimentConfig(scheme="qled", order=1024, dt=1.0,
                                    max_bits=64 * 64 * 10)
     shared = col.build_qled_constellation(1024)
-    points, rows = [], []
+    points, screens = [], []
     for c in (shared, dataclasses.replace(shared)):
         sim = harness.LinkSimulator(cfg, c)
+        suspect_counts.clear()
         points.append(harness.run_ber_point(cfg, 26.0, simulator=sim, seed=4))
         assert sim._neighbours is not None
-        rows.append((sim.detected_rows, sim.suspect_rows))
-    assert points[0].errors > 0 and rows[0][1] > 0
-    assert points[0] == points[1] and rows[0] == rows[1]
+        screens.append(list(suspect_counts))
+    assert points[0].errors > 0 and np.sum(screens[0], axis=0)[1] > 0
+    assert points[0] == points[1] and screens[0] == screens[1]
 
 
 def test_lists_leave_nan_and_infinite_rows_to_the_full_metric():
@@ -558,7 +550,7 @@ def test_rows_on_a_bisector_go_to_the_full_metric():
     assert tied.sum() > c.order / 2 and (got[tied] == -1).all()
 
 
-def test_lists_with_a_duplicated_point(metric_rows):
+def test_lists_with_a_duplicated_point(metric_rows, suspect_counts):
     """Coincident points tie at every row; the full metric decides them."""
     c = col.build_qled_constellation(1024)
     points = c.intensities.copy()
@@ -576,4 +568,5 @@ def test_lists_with_a_duplicated_point(metric_rows):
     cfg = harness.ExperimentConfig(scheme="qled", order=1024, dt=1.0)
     sim = harness.LinkSimulator(cfg, c)
     _assert_matches_reference(sim, snrs=(26.0, 30.0))
-    assert 0 < sum(metric_rows) < sim.suspect_rows
+    _, suspects = np.sum(suspect_counts, axis=0)
+    assert 0 < sum(metric_rows) < suspects

@@ -265,16 +265,17 @@ class TestFastPathAgainstPublicOps:
                                          min_bit_errors=1 << 62, chunk_blocks=4)
         assert (errors, bits) == _module_chain(sim, 0.02, 5, [4, 3])
         assert errors > 0 and bits == 6 * 64 * sim.k and censored
-        assert sim.detected_rows == 6 * 64
 
 
 @pytest.mark.parametrize("fde_on", [True, False])
 @pytest.mark.parametrize("scheme,order,dt", [("qled", 64, 0.1), ("tled", 16, 0.1),
                                              ("qled", 4, 0.01)])
-def test_subnormal_taps_are_zeroed_without_changing_results(scheme, order, dt,
-                                                            fde_on):
+def test_subnormal_taps_are_zeroed_without_changing_results(
+        suspect_counts, scheme, order, dt, fde_on):
     """The simulator zeroes float32-subnormal taps; runs with the subnormal
-    taps kept give the same errors, bits and suspect rows."""
+    taps kept give the same errors, bits and suspect rows.  The suspects are
+    compared on the serial loop, where a run screens only the tiles it
+    counts."""
     cfg = fast_cfg(scheme=scheme, order=order, dt=dt, fde=fde_on)
     tiny = np.finfo(np.float32).tiny
     exact = chan.discretize_impulse_response(dt, order).astype(np.float32)
@@ -287,8 +288,12 @@ def test_subnormal_taps_are_zeroed_without_changing_results(scheme, order, dt,
         sigma = 0.0 if snr is None else harness.sigma_from_snr(snr)
         args = (sigma, 200 * 64 * sim.k, seed)
         assert sim.run(*args, chunk_blocks=64) == kept.run(*args, chunk_blocks=64)
-    assert (sim.detected_rows, sim.suspect_rows) == (kept.detected_rows,
-                                                     kept.suspect_rows)
+        screens = []
+        for s in (sim, kept):
+            suspect_counts.clear()
+            s.run(*args, chunk_blocks=64, alongside=threading.Event())
+            screens.append(list(suspect_counts))
+        assert screens[0] == screens[1]
 
 
 class TestBadCilMatrix:
@@ -421,8 +426,7 @@ class TestSideBySidePoints:
         """Five points on two threads, or four on two cores, so the last
         runs alone, under fast thread switching: the CSV of one after
         another on a fresh simulator (multi-chunk points on the draw
-        pipeline), and the shared simulator's row counters are the sums
-        over those runs."""
+        pipeline)."""
         monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
         cfg = fast_cfg(order=16, dt=1.0, min_bit_errors=100,
                        max_bits=1_500_000, seed=3)
@@ -452,8 +456,6 @@ class TestSideBySidePoints:
             harness.write_curve_csv(fh, c)
             texts.append(fh.getvalue())
         assert texts[0] == texts[1]
-        assert (sim.detected_rows, sim.suspect_rows) == (
-            lone.detected_rows, lone.suspect_rows)
         # points ending on the error floor, the bit budget and in between
         assert {p.censored for p in curve.points} == {False, True}
         assert max(p.bits for p in curve.points) > 4095 * cfg.n * sim.k
@@ -513,14 +515,18 @@ class TestSideBySidePoints:
             harness.run_ber_curve(fast_cfg(), grid)
         assert started_threads == []
 
-    def test_a_set_event_stops_a_run_at_the_end_of_its_chunk(self):
+    def test_a_set_event_stops_a_run_at_the_end_of_its_chunk(
+            self, tile_threads, suspect_counts):
+        ran_on = tile_threads(delay=0.0)
         sim = harness.LinkSimulator(fast_cfg(dt=1.0))
         stop = threading.Event()
         stop.set()
         with pytest.raises(concurrent.futures.CancelledError):
             sim.run(harness.sigma_from_snr(30.0), 20 * 64 * sim.k, 1,
                     chunk_blocks=3, alongside=stop)
-        assert sim.detected_rows == 2 * 64  # the first chunk, less its warm-up
+        # one tile on the calling thread: the first chunk, less its warm-up
+        assert ran_on == [("caller", 64)]
+        assert [screened for screened, _ in suspect_counts] == [2 * 64]
 
     def test_a_failing_point_stops_the_curve(self, monkeypatch):
         """The error reaches the caller; the running point, which would run
@@ -541,6 +547,50 @@ class TestSideBySidePoints:
                                   [10.0, 30.0, 31.0, 32.0])
         assert time.monotonic() - t0 < 2.0
         _assert_no_thread_left(start)
+
+    def test_runs_leave_the_simulator_unchanged(self, monkeypatch):
+        """Once its first noisy check has built the neighbour lists, runs
+        only read their simulator: a serial run, a pipelined run of three
+        tiles a chunk, a side-by-side curve, a decisively stopped run and a
+        run whose tile raises leave every attribute the same object, and
+        every array of the simulator its values."""
+        monkeypatch.setattr(harness, "_SLICE_BLOCKS", 2)
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        cfg = harness.ExperimentConfig(scheme="qled", order=1024, dt=1.0,
+                                       max_bits=12 * 64 * 10, seed=2)
+        sim = harness.LinkSimulator(cfg)
+        sigma = harness.sigma_from_snr(26.0)
+        sim._check(sigma, cfg.max_bits)
+        before = dict(vars(sim))
+        arrays = {name: value.copy() for name, value in before.items()
+                  if isinstance(value, np.ndarray)}
+        assert before["_neighbours"] is not None
+        sim.run(sigma, cfg.max_bits, 1, alongside=threading.Event())
+        sim.run(sigma, cfg.max_bits, 1, chunk_blocks=6)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "LinkSimulator", lambda *args: sim)
+            curve = harness.run_ber_curve(cfg, [24.0, 26.0, 28.0])
+        assert len(curve.points) == 3
+        budget = 200 * 64 * sim.k
+        _, bits, _ = sim.run(harness.sigma_from_snr(0.0), budget, 1,
+                             stop_target=1e-3, min_bit_errors=20,
+                             chunk_blocks=6)
+        assert bits < budget
+        count = modem.count_bit_errors
+
+        def failing_count(*args):
+            count(*args)
+            raise _Boom("tile failed")
+        with monkeypatch.context() as m:
+            m.setattr(modem, "count_bit_errors", failing_count)
+            with pytest.raises(_Boom, match="tile failed"):
+                sim.run(sigma, cfg.max_bits, 1, chunk_blocks=6)
+        after = vars(sim)
+        assert after.keys() == before.keys()
+        assert [name for name, value in before.items()
+                if after[name] is not value] == []
+        assert all(np.array_equal(after[name], value)
+                   for name, value in arrays.items())
 
 
 class _Boom(RuntimeError):

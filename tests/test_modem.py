@@ -101,7 +101,8 @@ class TestMlDetect:
 
 
 @pytest.mark.parametrize("order", [4, 64])
-def test_count_bit_errors_matches_bitwise_label_comparison(order):
+def test_count_bit_errors_matches_bitwise_label_comparison(suspect_counts,
+                                                           order):
     """Screened count against detecting every row and comparing the sent
     and detected labels bit by bit as strings."""
     c = col.build_qled_constellation(order)
@@ -113,15 +114,16 @@ def test_count_bit_errors_matches_bitwise_label_comparison(order):
     rows = sent + rng.normal(size=sent.shape) * dmin * np.where(
         rng.random((2000, 1)) < 0.5, 1e-3, 0.5)
     ct, half_norms = modem.detection_metric(c)
-    errors, suspects = modem.count_bit_errors(
+    errors = modem.count_bit_errors(
         rows, sent, sent_idx, modem.trust_thresholds(c), ct, half_norms,
         c.labels)
     k = c.bits_per_symbol
     detected = modem.ml_detect(rows, c)
     expected = sum(a != b for i, j in zip(sent_idx, detected)
                    for a, b in zip(f"{c.labels[i]:0{k}b}", f"{c.labels[j]:0{k}b}"))
-    assert errors == expected > 0
-    assert 0 < suspects < 2000
+    assert type(errors) is int and errors == expected > 0
+    [(screened, suspects)] = suspect_counts
+    assert screened == 2000 and 0 < suspects < 2000
 
 
 @pytest.mark.parametrize("scheme,order", [("tled", 4), ("tled", 8), ("tled", 16),
